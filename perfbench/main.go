@@ -127,7 +127,6 @@ func main() {
 	seconds := flag.Int("seconds", 20, "measured seconds per run")
 	trace := flag.Int("trace", 0, "1 runs the traced per-layer pass")
 	spans := flag.String("spans", "", "span file of a traced run (default .bench_build/spans-<workload>-<seed>.json)")
-	small := flag.Bool("tiny", false, "tiny inputs (smoke runs)")
 	flag.Parse()
 
 	names := []string{*workload}
@@ -141,9 +140,6 @@ func main() {
 			os.Exit(2)
 		}
 		cfg := config{seed: *seed, budget: time.Duration(*seconds) * time.Second, trace: *trace == 1}
-		if *small {
-			cfg.scale = tiny
-		}
 		spanPath := *spans
 		if spanPath == "" {
 			spanPath = filepath.Join(".bench_build", fmt.Sprintf("spans-%s-%d.json", name, *seed))
@@ -179,7 +175,7 @@ func runOne(name string, cfg config, spanPath string, w io.Writer) (*result, err
 	if cfg.trace {
 		cfg.tr = newTracer(fmt.Sprintf("%s-seed%d-pid%d", name, cfg.seed, os.Getpid()))
 	}
-	total0, steal0, err := cpuTicks()
+	h0, err := readTicks()
 	if err != nil {
 		return nil, err
 	}
@@ -187,13 +183,21 @@ func runOne(name string, cfg config, spanPath string, w io.Writer) (*result, err
 	if err != nil {
 		return nil, err
 	}
-	total1, steal1, err := cpuTicks()
+	h1, err := readTicks()
 	if err != nil {
 		return nil, err
 	}
 	// Time the hypervisor gave to other machines inflates every wall time
-	// of the run; the share is printed so a noisy run can be recognised.
-	rep.add("host_steal_share", float64(steal1-steal0)/float64(max(total1-total0, 1)), "ratio")
+	// of the run. The timed loops leave contended iterations out of their
+	// medians; a run that was contended as a whole is flagged.
+	steal := h1.stealSince(h0)
+	rep.add("host_steal_share", steal, "ratio")
+	if steal > stealLimit {
+		msg := fmt.Sprintf("host contended: the hypervisor took %.1f%% of the CPU ticks (limit %.0f%%); compare these times only with runs made alongside them",
+			100*steal, 100*stealLimit)
+		rep.notes = append(rep.notes, msg)
+		fmt.Fprintln(os.Stderr, "perfbench: "+msg)
+	}
 	if cfg.trace {
 		if err := os.MkdirAll(filepath.Dir(spanPath), 0o755); err != nil {
 			return nil, fmt.Errorf("span dir: %w", err)

@@ -325,6 +325,19 @@ func (r *round) decided(seq []experiments.Config) int64 {
 	return v
 }
 
+// serviceIter is one pass of the timed loop: a round with 2 lease workers
+// and one with 1.
+type serviceIter struct {
+	setups []float64
+	// uncached latencies with 2 and 1 workers, cached ones with 2, and the
+	// first and last tenth of the 2-worker uncached ones
+	lat2, lat1, cached, first, last []float64
+	wall                            time.Duration // of the 2-worker round
+	rate                            float64       // its decided vertices per second
+	jobs                            int           // its completed submissions
+	steal                           float64       // CPU share the hypervisor took
+}
+
 func runService(cfg config) (*report, error) {
 	seq := jobSequence(cfg)
 	rd := renderer{}
@@ -345,16 +358,16 @@ func runService(cfg config) (*report, error) {
 		}
 	}
 
-	var (
-		lat2, lat1, cached, growthFirst, growthLast, rates []float64
-		wall2                                              time.Duration
-		submissions                                        int64
-		rounds                                             int
-	)
+	var its []serviceIter
 	rss := startRSS()
 	defer rss.close()
 	start := time.Now()
 	for it := 0; it < minIter(cfg) || time.Since(start) < cfg.budget; it++ {
+		h0, err := readTicks()
+		if err != nil {
+			return nil, err
+		}
+		var x serviceIter
 		for _, workers := range []int{2, 1} {
 			settle()
 			r, err := runRound(cfg, workers, seq, nil, ck)
@@ -364,25 +377,44 @@ func runService(cfg config) (*report, error) {
 			if err := checkTables(r, seq, rd, cfg.corrupt, ck); err != nil {
 				return nil, err
 			}
-			setups = append(setups, r.setup.Seconds())
+			x.setups = append(x.setups, r.setup.Seconds())
 			un, ca := r.latencies()
 			if workers == 1 {
-				lat1 = append(lat1, un...)
+				x.lat1 = un
 				continue
 			}
-			rounds++
-			lat2 = append(lat2, un...)
-			cached = append(cached, ca...)
+			x.lat2, x.cached = un, ca
 			if tenth := len(un) / 10; tenth > 0 {
-				growthFirst = append(growthFirst, un[:tenth]...)
-				growthLast = append(growthLast, un[len(un)-tenth:]...)
+				x.first, x.last = un[:tenth], un[len(un)-tenth:]
 			}
-			wall2 += r.wall
-			rates = append(rates, float64(r.decided(seq))/r.wall.Seconds())
-			submissions += int64(len(r.jobs))
+			x.wall = r.wall
+			x.rate = float64(r.decided(seq)) / r.wall.Seconds()
+			x.jobs = len(r.jobs)
 		}
+		h1, err := readTicks()
+		if err != nil {
+			return nil, err
+		}
+		x.steal = h1.stealSince(h0)
+		its = append(its, x)
 	}
 	peak := rss.peakMiB()
+
+	// Pool the iterations the host did not contend (see quiet).
+	kept := quiet(its, func(x serviceIter) float64 { return x.steal }, minIter(cfg))
+	var (
+		lat2, lat1, cached, growthFirst, growthLast, rates []float64
+		wall2                                              time.Duration
+		submissions                                        int
+	)
+	for _, x := range kept {
+		setups = append(setups, x.setups...)
+		lat2, lat1, cached = append(lat2, x.lat2...), append(lat1, x.lat1...), append(cached, x.cached...)
+		growthFirst, growthLast = append(growthFirst, x.first...), append(growthLast, x.last...)
+		rates = append(rates, x.rate)
+		wall2 += x.wall
+		submissions += x.jobs
+	}
 	if len(lat2) == 0 || len(lat1) == 0 {
 		return nil, fmt.Errorf("no uncached job completed")
 	}
@@ -400,7 +432,8 @@ func runService(cfg config) (*report, error) {
 	rep.add("jobs_per_s", float64(submissions)/wall2.Seconds(), "1/s")
 	rep.add("latency_growth", median(growthLast)/median(growthFirst), "ratio")
 	rep.add("peak_rss_mib", peak, "MiB")
-	rep.add("rounds", float64(rounds), "count")
+	rep.add("rounds", float64(len(its)), "count")
+	rep.add("median_rounds", float64(len(kept)), "count")
 	if err := addHWM(rep); err != nil {
 		return nil, err
 	}
@@ -478,8 +511,10 @@ func traceService(cfg config, seq []experiments.Config, rd renderer, rep *report
 }
 
 // storeLayers derives the store, lease and serve metrics of a traced
-// round from its store calls and client spans, and checks that each
-// uncached job's three phases sum to its latency.
+// round from its store calls and client spans. Each uncached job's latency
+// splits at its first store Put and its last done/ Put into three phases;
+// being differences of one monotonic clock they sum to the latency by
+// construction, so the check is that the four instants are in order.
 func storeLayers(r *round, rep *report, ck *checks) error {
 	ops := r.store.snapshot()
 	var uncached []*jobRun
@@ -557,8 +592,8 @@ func storeLayers(r *round, rep *report, ck *checks) error {
 			continue
 		}
 		a, b, c := fp.Sub(j.submit), ld.Sub(fp), j.end.Sub(ld)
-		if a < 0 || b < 0 || c < 0 || a+b+c != j.latency() {
-			ck.check(fmt.Errorf("job %d: phases %v + %v + %v do not split latency %v", j.index, a, b, c, j.latency()))
+		if a < 0 || b < 0 || c < 0 {
+			ck.check(fmt.Errorf("job %d: submit, first Put, last done/ Put and table are out of order (phases %v, %v, %v)", j.index, a, b, c))
 			continue
 		}
 		ck.check(nil)

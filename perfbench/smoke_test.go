@@ -7,16 +7,17 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // extras are the workload-specific end-to-end metrics each report must
 // print besides the BENCHMARK.json ones.
 var extras = map[string][]string{
-	"sampled-cycle":  {"wall_1w_s", "vmhwm_mib", "host_steal_share", "error_rate"},
-	"implicit-large": {"wall_1w_s", "vmhwm_mib", "host_steal_share", "error_rate"},
-	"exact-quotient": {"perms_per_s", "wall_1w_s", "vmhwm_mib", "host_steal_share", "error_rate"},
+	"sampled-cycle":  {"wall_1w_s", "median_iterations", "vmhwm_mib", "host_steal_share", "error_rate"},
+	"implicit-large": {"wall_1w_s", "median_iterations", "vmhwm_mib", "host_steal_share", "error_rate"},
+	"exact-quotient": {"perms_per_s", "wall_1w_s", "median_iterations", "vmhwm_mib", "host_steal_share", "error_rate"},
 	"service-jobs": {"job_p50_s", "job_tail_s", "job_tail_percentile", "job_samples", "cached_p50_s",
-		"jobs_per_s", "latency_growth", "vmhwm_mib", "host_steal_share", "error_rate"},
+		"jobs_per_s", "latency_growth", "median_rounds", "vmhwm_mib", "host_steal_share", "error_rate"},
 }
 
 // smoke runs one workload at tiny sizes and returns its report lines and
@@ -135,6 +136,34 @@ func TestCorruptionCaught(t *testing.T) {
 			}
 			t.Error("no error_rate line")
 		})
+	}
+}
+
+// TestPhaseOrderCaught gives storeLayers one job whose last done/ Put ends
+// after the client already had the table, and requires the phase check to
+// count it while it passes a job in order.
+func TestPhaseOrderCaught(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	put := func(name string, start, end int) storeOp {
+		kind, job := classify(name)
+		return storeOp{op: "Put", name: name, kind: kind, job: job, start: at(start), end: at(end)}
+	}
+	st := newTimedStore(nil, nil, nil)
+	st.ops = []storeOp{
+		put("lease/good/plan", 2, 3), put("lease/good/done/64-0", 4, 5),
+		put("lease/bad/plan", 12, 13), put("lease/bad/done/64-0", 14, 19),
+	}
+	r := &round{wall: 20 * time.Millisecond, store: st, jobs: []*jobRun{
+		{index: 0, key: "good", submit: at(0), accepted: at(1), end: at(8)},
+		{index: 1, key: "bad", submit: at(10), accepted: at(11), end: at(18)},
+	}}
+	var ck checks
+	if err := storeLayers(r, &report{}, &ck); err != nil {
+		t.Fatal(err)
+	}
+	if ck.attempted != 2 || ck.failed != 1 || ck.firstErr == nil || !strings.Contains(ck.firstErr.Error(), "job 1") {
+		t.Fatalf("phase checks: %d attempted, %d failed, first error %v; want 2, 1, job 1", ck.attempted, ck.failed, ck.firstErr)
 	}
 }
 

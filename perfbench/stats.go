@@ -102,29 +102,70 @@ func residentBytes() (int64, error) {
 	return pages * pageSize, nil
 }
 
-// cpuTicks reads the aggregate cpu line of /proc/stat: all ticks and the
-// ticks the hypervisor stole from this machine's CPUs.
-func cpuTicks() (total, steal int64, err error) {
+// stealLimit is the share of CPU ticks the hypervisor may give to other
+// machines during a timed iteration before the iteration counts as
+// contended and is left out of the medians. On the 2-vCPU development
+// host, sets of runs whose medians agreed saw 1-3% steal; sets whose
+// medians drifted by up to a third saw 7.5-23%.
+const stealLimit = 0.05
+
+// hostTicks is one reading of the aggregate cpu line of /proc/stat: all
+// ticks and the ticks the hypervisor stole from this machine's CPUs.
+type hostTicks struct{ total, steal int64 }
+
+func readTicks() (hostTicks, error) {
 	raw, err := os.ReadFile("/proc/stat")
 	if err != nil {
-		return 0, 0, err
+		return hostTicks{}, err
 	}
 	line, _, _ := strings.Cut(string(raw), "\n")
 	f := strings.Fields(line)
 	if len(f) < 9 || f[0] != "cpu" {
-		return 0, 0, fmt.Errorf("unexpected /proc/stat line %q", line)
+		return hostTicks{}, fmt.Errorf("unexpected /proc/stat line %q", line)
 	}
+	var h hostTicks
 	for i, x := range f[1:] {
 		v, err := strconv.ParseInt(x, 10, 64)
 		if err != nil {
-			return 0, 0, fmt.Errorf("parse /proc/stat: %w", err)
+			return hostTicks{}, fmt.Errorf("parse /proc/stat: %w", err)
 		}
-		total += v
+		h.total += v
 		if i == 7 {
-			steal = v
+			h.steal = v
 		}
 	}
-	return total, steal, nil
+	return h, nil
+}
+
+// stealSince is the share of the ticks since an earlier reading that the
+// hypervisor stole.
+func (h hostTicks) stealSince(earlier hostTicks) float64 {
+	return float64(h.steal-earlier.steal) / float64(max(h.total-earlier.total, 1))
+}
+
+// quiet returns the iterations whose steal share is within stealLimit, or
+// all of them when fewer than min are: a host contended throughout still
+// gets a figure. Reports print how many iterations their medians used.
+func quiet[T any](its []T, steal func(T) float64, min int) []T {
+	var kept []T
+	for _, it := range its {
+		if steal(it) <= stealLimit {
+			kept = append(kept, it)
+		}
+	}
+	if len(kept) < min {
+		return its
+	}
+	return kept
+}
+
+// medianOf is the median of f over xs.
+func medianOf[T any](xs []T, f func(T) float64) float64 {
+	vals := make([]float64, len(xs))
+	for i, x := range xs {
+		vals[i] = f(x)
+	}
+	return median(vals)
 }
 
 // peakRSSMiB reads the process's peak resident set size (VmHWM).
