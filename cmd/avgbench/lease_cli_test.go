@@ -35,12 +35,11 @@ func TestLeaseFlagValidation(t *testing.T) {
 		{"-e", "E6", "-store", dir, "-lease", "-shard", "0/2"},         // two schedules
 		{"-e", "all", "-store", dir, "-lease"},                         // needs one experiment
 		{"-e", "E3", "-store", dir, "-lease"},                          // E3 not shardable
-		{"-e", "E6", "-store", dir, "-lease", "-checkpoint", "c"},      // store IS the checkpoint
-		{"-e", "E6", "-store", dir, "-lease", "-out", "s.json"},        // store replaces shard files
 		{"-e", "E6", "-worker", "w"},                                   // -worker without -store
 		{"-e", "E6", "-grains", "4"},                                   // -grains without -store
 		{"-e", "E6", "-store", dir, "-lease", "-worker", "bad worker"}, // not store-name-safe
 		{"-e", "E6", "-store", dir, "-shard", "2/2"},                   // static index out of range
+		{"-e", "E6", "-store", dir, "-shard", "0/2", "-csv"},           // static executors print no table
 		{"-e", "E6", "-sizes", "zz", "-store", dir, "-lease"},          // bad sizes still fail fast
 	}
 	for _, args := range cases {

@@ -22,22 +22,20 @@
 //	avgbench -e E12                      # quotient vs full n! fold, diffed field by field
 //	avgbench -e E6 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
-// Distributed runs (shardable experiments — those exposing their sweeps):
-//
-//	avgbench -e E6 -shard 0/2 -out s0.json   # process 1 of 2
-//	avgbench -e E6 -shard 1/2 -out s1.json   # process 2 of 2
-//	sweepmerge s0.json s1.json               # byte-identical final table
-//	avgbench -e E6 -checkpoint e6.ckpt       # restartable: kill, rerun, resume
-//
-// Leased runs (work-stealing over a shared store directory): start any
-// number of executors against one store, at any time; they lease
-// grain-aligned trial ranges, steal straggler tails, and re-execute dead
-// workers' claims. Every executor that returns prints the same bytes:
+// Store runs (shardable experiments — those exposing their sweeps): every
+// split and every resume goes through a shared store directory, whose
+// per-grain completion records are the run's durable progress. Dynamic
+// executors (-lease) lease grain-aligned trial ranges, steal straggler
+// tails and re-execute dead workers' claims; every one that returns prints
+// the same bytes. Re-running an executor on the same store resumes a
+// killed run. Static executors (-shard I/M) run only their slice and print
+// no table; sweepmerge -store renders it once every slice is done:
 //
 //	avgbench -e E6 -store run/ -lease          # executor 1 (any machine)
 //	avgbench -e E6 -store run/ -lease          # executor 2, started later
-//	sweepmerge -store run/                     # or merge without executing
-//	avgbench -e E6 -store run/ -shard 0/2      # static i-of-m lease schedule
+//	avgbench -e E6 -store st/ -shard 0/2       # static process 1 of 2
+//	avgbench -e E6 -store st/ -shard 1/2       # static process 2 of 2
+//	sweepmerge -store st/                      # byte-identical final table
 package main
 
 import (
@@ -84,10 +82,8 @@ func run(args []string) error {
 	quotient := fs.Bool("quotient", false, "enumerate exhaustive sweeps over canonical orbit representatives only (symmetric families; bit-identical tables, n!/|G| of the work, lifts E10's size cap to 14)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the runs to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file after the runs")
-	shardFlag := fs.String("shard", "", "run only shard I/M (0-based, e.g. 0/2) of one shardable experiment; requires -out")
-	outFlag := fs.String("out", "", "file the shard's partial aggregates are written to (merge with sweepmerge)")
-	checkpoint := fs.String("checkpoint", "", "checkpoint file: progress is committed after every block and an interrupted run resumes from it (one shardable experiment)")
-	storeFlag := fs.String("store", "", "shared store directory for a leased run; executors pointing at the same store cooperate on one experiment (with -lease or -shard)")
+	shardFlag := fs.String("shard", "", "run only the static slice I/M (0-based, e.g. 0/2) of the store's run and print no table; requires -store (merge with sweepmerge -store)")
+	storeFlag := fs.String("store", "", "shared store directory for a leased run; executors pointing at the same store cooperate on one experiment, and re-running one resumes the run (with -lease or -shard)")
 	leaseFlag := fs.Bool("lease", false, "join the store's work-stealing leased run: lease uncovered trial ranges, steal straggler tails, print the merged table when the space is covered; requires -store")
 	workerFlag := fs.String("worker", "", "this executor's id in the leased run (default host-pid)")
 	grainsFlag := fs.Int("grains", 0, "grains each size's trial space is quantized into for leasing (0 = engine default; all executors of a run must agree)")
@@ -140,49 +136,37 @@ func run(args []string) error {
 		selected = []experiments.Experiment{e}
 	}
 
-	// Distributed-mode flag discipline: sharding writes aggregates, not
-	// tables, and both sharding and checkpointing are per-experiment.
-	if *shardFlag == "" && *outFlag != "" {
-		return fmt.Errorf("-out only makes sense with -shard")
-	}
-	if *shardFlag != "" || *checkpoint != "" || *storeFlag != "" || *leaseFlag {
+	// Store-mode flag discipline: a store run covers one experiment, and
+	// its progress lives in the store's per-grain completion records.
+	if *storeFlag != "" || *leaseFlag || *shardFlag != "" {
 		if len(selected) != 1 {
-			return fmt.Errorf("-shard/-checkpoint/-store/-lease need a single -e experiment, not %q", *expID)
+			return fmt.Errorf("-store/-lease/-shard need a single -e experiment, not %q", *expID)
 		}
 		if !selected[0].Shardable() {
-			return fmt.Errorf("%s does not expose its sweeps; it cannot run sharded, checkpointed or leased", selected[0].ID)
+			return fmt.Errorf("%s does not expose its sweeps; it cannot run leased or sharded", selected[0].ID)
 		}
 	}
-	// Leased-mode flag discipline: the store replaces both the checkpoint
-	// (progress lives in per-grain completion records) and the shard file
-	// (sweepmerge -store collects from the store directly).
-	if *leaseFlag && *storeFlag == "" {
-		return fmt.Errorf("-lease needs -store, the directory the executors share")
+	var shard sweep.Shard
+	if *shardFlag != "" {
+		if shard, err = parseShard(*shardFlag); err != nil {
+			return err
+		}
 	}
-	if *leaseFlag && *shardFlag != "" {
+	switch {
+	case *leaseFlag && *shardFlag != "":
 		return fmt.Errorf("-lease (work stealing) and -shard (static split) are mutually exclusive schedules")
-	}
-	if *storeFlag != "" {
-		if !*leaseFlag && *shardFlag == "" {
-			return fmt.Errorf("-store needs a schedule: -lease (work stealing) or -shard I/M (static)")
-		}
-		if *checkpoint != "" {
-			return fmt.Errorf("-store and -checkpoint are mutually exclusive; leased progress is checkpointed in the store's completion records")
-		}
-		if *outFlag != "" {
-			return fmt.Errorf("-store and -out are mutually exclusive; merge a leased run with sweepmerge -store")
-		}
-	}
-	if *storeFlag == "" && (*workerFlag != "" || *grainsFlag != 0) {
+	case *storeFlag == "" && *leaseFlag:
+		return fmt.Errorf("-lease needs -store, the directory the executors share")
+	case *storeFlag == "" && *shardFlag != "":
+		return fmt.Errorf("-shard needs -store, the directory the static executors share")
+	case *storeFlag != "" && !*leaseFlag && *shardFlag == "":
+		return fmt.Errorf("-store needs a schedule: -lease (work stealing) or -shard I/M (static)")
+	case *storeFlag == "" && (*workerFlag != "" || *grainsFlag != 0):
 		return fmt.Errorf("-worker/-grains only make sense with -store")
-	}
-	if *shardFlag != "" && *storeFlag == "" {
-		if *outFlag == "" {
-			return fmt.Errorf("-shard needs -out to store the partial aggregates (or -store for a leased run)")
-		}
-		if *asCSV || *asJSON {
-			return fmt.Errorf("-shard writes aggregates, not tables; drop -csv/-json and render via sweepmerge")
-		}
+	case *shardFlag != "" && (*asCSV || *asJSON):
+		// A static executor owes only its slice, so it has no table to
+		// format; the table comes from sweepmerge -store.
+		return fmt.Errorf("-shard prints no table; drop -csv/-json and render it with sweepmerge -store")
 	}
 
 	ctx := context.Background()
@@ -230,26 +214,19 @@ func run(args []string) error {
 		Table *experiments.Table `json:"table"`
 	}
 
-	// Leased mode: join (or start) the store's run for this experiment.
-	// Dynamic executors (-lease) return only once the whole trial space is
-	// covered, so they can merge and print the final table themselves;
-	// static ones (-shard I/M) exit after their own slice and leave the
-	// merge to sweepmerge -store, like the shard-file flow.
+	// Store mode: join (or start, or resume) the store's run for this
+	// experiment. Dynamic executors (-lease) return only once the whole
+	// trial space is covered, so they can merge and print the final table
+	// themselves; static ones (-shard I/M) exit after their own slice and
+	// leave the merge to sweepmerge -store.
 	if *storeFlag != "" {
 		st, err := sweep.NewDirStore(*storeFlag)
 		if err != nil {
 			return err
 		}
-		opts := sweep.LeaseOptions{Worker: *workerFlag, GrainsPerSize: *grainsFlag}
+		opts := sweep.LeaseOptions{Worker: *workerFlag, GrainsPerSize: *grainsFlag, Static: shard}
 		if opts.Worker == "" {
 			opts.Worker = defaultWorker()
-		}
-		if *shardFlag != "" {
-			shard, err := parseShard(*shardFlag)
-			if err != nil {
-				return err
-			}
-			opts.Static = shard
 		}
 		e := selected[0]
 		stats, err := experiments.RunLeasedSweeps(ctx, e, cfg, st, opts)
@@ -283,42 +260,13 @@ func run(args []string) error {
 		return nil
 	}
 
-	// Shard mode: execute this process's slice of the trial space and
-	// write the partial aggregates; sweepmerge renders the final table
-	// once every shard file exists. RunShardToFile opens -out before the
-	// run (bad paths fail fast) and keeps any -checkpoint until the shard
-	// file is durably written, so a crash never strands completed work.
-	if *shardFlag != "" {
-		shard, err := parseShard(*shardFlag)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RunShardToFile(ctx, selected[0], cfg, shard, *checkpoint, *outFlag); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "avgbench: %s shard %d/%d aggregates written to %s\n",
-			selected[0].ID, shard.Index, shard.Count, *outFlag)
-		return nil
-	}
-
 	var jsonOut []jsonTable
 
 	for _, e := range selected {
 		if !*asJSON {
 			fmt.Printf("== %s: %s\n   claim: %s\n", e.ID, e.Title, e.Claim)
 		}
-		var tab *experiments.Table
-		var err error
-		if *checkpoint != "" {
-			// The restartable path: identical bytes to e.Run, with progress
-			// committed after every block.
-			var results []*sweep.Result
-			if results, err = experiments.RunSweeps(ctx, e, cfg, sweep.Shard{}, *checkpoint); err == nil {
-				tab, err = e.Tabulate(cfg, results)
-			}
-		} else {
-			tab, err = e.Run(ctx, cfg)
-		}
+		tab, err := e.Run(ctx, cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}

@@ -1,38 +1,30 @@
-// Command sweepmerge folds the partial aggregates written by
-// `avgbench -e <ID> -shard i/m -out shard.json` into the experiment's
-// final table. Given the complete shard set of one (experiment, config)
-// run — every index 0..m-1 exactly once — the merged table is byte-
-// identical to the one a single `avgbench -e <ID>` process prints: the
-// engine's aggregate merge is deterministic and tie-broken by trial index
-// exactly like the in-process fold.
+// Command sweepmerge renders the final table of a leased run from its store
+// directory, without executing anything. Executors started with
+// `avgbench -e <ID> -store DIR -lease` or `-store DIR -shard i/m` leave
+// per-grain completion records in DIR; once they cover the whole trial
+// space, the merged table is byte-identical to the one a single
+// `avgbench -e <ID>` process prints: the engine's aggregate merge is
+// deterministic and tie-broken by trial index exactly like the in-process
+// fold. The store is self-describing — its manifest names the experiment
+// and config — so the merge needs only the directory:
 //
-// Usage:
+//	avgbench -e E6 -store st/ -shard 0/2
+//	avgbench -e E6 -store st/ -shard 1/2
+//	sweepmerge -store st/               # == avgbench -e E6
+//	sweepmerge -store st/ -csv          # machine-readable, like avgbench -csv
+//	sweepmerge -store st/ -json         # metadata + table, like avgbench -json
+//	sweepmerge -store st/ -run E6       # disambiguate a multi-run store
 //
-//	avgbench -e E6 -shard 0/2 -out s0.json
-//	avgbench -e E6 -shard 1/2 -out s1.json
-//	sweepmerge s0.json s1.json          # == avgbench -e E6
-//	sweepmerge -csv s0.json s1.json     # machine-readable, like avgbench -csv
-//	sweepmerge -json s0.json s1.json    # metadata + table, like avgbench -json
-//
-// It also merges leased runs (avgbench -store DIR -lease / -shard): the
-// store is self-describing — its manifest names the experiment and config
-// — so the merge needs only the directory:
-//
-//	sweepmerge -store run/              # the store's one leased run
-//	sweepmerge -store run/ -run E6      # disambiguate a multi-run store
-//
-// Mismatched inputs — different experiments, seeds, sizes or shard counts,
-// duplicate or missing indices, overlapping trial-range claims, corrupted
-// or mis-versioned files, incomplete leased runs — are rejected with a
-// descriptive error before anything is merged.
+// A run not yet covered fails with the typed incomplete error (exit 2);
+// overlapping or corrupt records are rejected before anything is merged.
 package main
 
 import (
 	"encoding/csv"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -42,7 +34,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		// Typed failures exit distinctly: 2 = incomplete run (recoverable,
 		// finish the executors and retry), 3 = corrupt data (inspect the
 		// named record), 1 = anything else.
@@ -50,11 +42,11 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sweepmerge", flag.ContinueOnError)
 	asCSV := fs.Bool("csv", false, "emit CSV instead of aligned text")
 	asJSON := fs.Bool("json", false, "emit JSON (table plus metadata)")
-	storeFlag := fs.String("store", "", "merge a leased run from this store directory instead of shard files")
+	storeFlag := fs.String("store", "", "store directory of the leased run to merge")
 	runFlag := fs.String("run", "", "experiment ID of the leased run to merge, when the store holds several")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -62,45 +54,13 @@ func run(args []string) error {
 	if *asCSV && *asJSON {
 		return fmt.Errorf("-csv and -json are mutually exclusive")
 	}
-	paths := fs.Args()
-	if *runFlag != "" && *storeFlag == "" {
-		return fmt.Errorf("-run only makes sense with -store")
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments %q; sweepmerge reads only the -store directory", fs.Args())
 	}
-
-	var (
-		e   experiments.Experiment
-		tab *experiments.Table
-		err error
-	)
-	if *storeFlag != "" {
-		if len(paths) != 0 {
-			return fmt.Errorf("-store and shard files are mutually exclusive inputs")
-		}
-		e, tab, err = mergeStore(*storeFlag, *runFlag)
-	} else {
-		if len(paths) == 0 {
-			return fmt.Errorf("no shard files given (or use -store for a leased run)")
-		}
-		files := make([]*experiments.ShardFile, len(paths))
-		for i, p := range paths {
-			f, oerr := os.Open(p)
-			if oerr != nil {
-				return oerr
-			}
-			sf, rerr := experiments.ReadShardFile(f)
-			f.Close()
-			if rerr != nil {
-				// The codec only saw a reader; name the file for it.
-				var dec *sweep.DecodeError
-				if errors.As(rerr, &dec) && dec.Key == "" {
-					dec.Key = p
-				}
-				return fmt.Errorf("%s: %w", p, rerr)
-			}
-			files[i] = sf
-		}
-		e, tab, err = experiments.MergeShards(files...)
+	if *storeFlag == "" {
+		return fmt.Errorf("-store is required: the directory the executors shared")
 	}
+	e, tab, err := mergeStore(*storeFlag, *runFlag)
 	if err != nil {
 		return err
 	}
@@ -115,14 +75,14 @@ func run(args []string) error {
 			Claim string             `json:"claim"`
 			Table *experiments.Table `json:"table"`
 		}{{ID: e.ID, Title: e.Title, Claim: e.Claim, Table: tab}}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(out)
 	case *asCSV:
-		return tab.WriteCSV(csv.NewWriter(os.Stdout))
+		return tab.WriteCSV(csv.NewWriter(stdout))
 	default:
-		fmt.Printf("== %s: %s\n   claim: %s\n", e.ID, e.Title, e.Claim)
-		fmt.Println(tab.Render())
+		fmt.Fprintf(stdout, "== %s: %s\n   claim: %s\n", e.ID, e.Title, e.Claim)
+		fmt.Fprintln(stdout, tab.Render())
 	}
 	return nil
 }
@@ -136,14 +96,14 @@ func mergeStore(dir, runID string) (experiments.Experiment, *experiments.Table, 
 	if err != nil {
 		return none, nil, err
 	}
-	runs, err := experiments.FindLeasedRuns(st)
+	runs, err := experiments.DiscoverLeasedRuns(st)
 	if err != nil {
 		return none, nil, err
 	}
 	if runID != "" {
 		matched := runs[:0]
 		for _, r := range runs {
-			if strings.EqualFold(r.Experiment, runID) {
+			if strings.EqualFold(r.Manifest.Experiment, runID) {
 				matched = append(matched, r)
 			}
 		}
@@ -159,15 +119,16 @@ func mergeStore(dir, runID string) (experiments.Experiment, *experiments.Table, 
 	default:
 		var ids []string
 		for _, r := range runs {
-			ids = append(ids, r.Experiment)
+			ids = append(ids, r.Manifest.Experiment)
 		}
 		return none, nil, fmt.Errorf("%s holds %d leased runs (%s); pick one with -run", dir, len(runs), strings.Join(ids, ", "))
 	}
-	e, err := experiments.Get(runs[0].Experiment)
+	mf := runs[0].Manifest
+	e, err := experiments.Get(mf.Experiment)
 	if err != nil {
 		return none, nil, err
 	}
-	tab, err := experiments.MergeLeased(e, runs[0].Config, st)
+	tab, err := experiments.MergeLeased(e, mf.Config, st)
 	if err != nil {
 		return none, nil, err
 	}

@@ -2,107 +2,22 @@ package experiments
 
 // Distributed runs: the experiment-level face of the sweep engine's
 // plan/execute/merge split. A shardable experiment (one defining
-// Sweeps/Tabulate) can be executed as m independent processes — each
-// running the contiguous shard i/m of every sweep's trial space and
-// writing its partial aggregates to a shard file — and any process holding
-// all m files folds them (MergeShards) into the final table, byte-
-// identical to a single-process run. A checkpoint file makes either mode
-// restartable: progress is committed after every completed block, and a
-// resumed run executes only the complement.
+// Sweeps/Tabulate) exposes its sweeps, so they can run in-process here or
+// as a leased run over a shared store (leased.go), where any split or
+// resume folds to the bytes of a single process.
 
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
-	"reflect"
-	"sort"
 
 	"repro/internal/sweep"
 )
 
-// Format tags of the experiment-level files, framed by the sweep codec's
-// versioned envelope.
-const (
-	formatShard      = "experiments.shard"
-	formatCheckpoint = "experiments.checkpoint"
-)
-
-// ShardFile is one process's contribution to a distributed experiment run:
-// the shard's partial aggregates for every sweep of the experiment, plus
-// the identity (experiment, config, shard) MergeShards validates before
-// folding.
-type ShardFile struct {
-	Experiment string          `json:"experiment"`
-	Config     Config          `json:"config"`
-	Shard      sweep.Shard     `json:"shard"`
-	Results    []*sweep.Result `json:"results"`
-	// Ranges records, per sweep and per size, the trial range the
-	// aggregates actually cover — the file's explicit claim, checked for
-	// cross-file disjointness at merge time. Files written before this
-	// field existed omit it; the merge then derives the claim from Shard.
-	Ranges [][]sweep.TrialRange `json:"ranges,omitempty"`
-}
-
-// WriteShardFile serializes the shard's aggregates with the versioned
-// envelope codec.
-func WriteShardFile(w io.Writer, f *ShardFile) error {
-	return sweep.EncodeFile(w, formatShard, f)
-}
-
-// ReadShardFile decodes one shard file; corrupted or foreign input —
-// including missing per-sweep aggregates and payloads violating the
-// aggregate invariants — fails with the codec's typed *sweep.DecodeError,
-// never a panic.
-func ReadShardFile(r io.Reader) (*ShardFile, error) {
-	f := &ShardFile{}
-	if err := sweep.DecodeFile(r, formatShard, f); err != nil {
-		return nil, err
-	}
-	for k, res := range f.Results {
-		if res == nil {
-			return nil, &sweep.DecodeError{Format: formatShard,
-				Reason: fmt.Sprintf("sweep %d: missing aggregates", k)}
-		}
-		if err := sweep.ValidateResult(res); err != nil {
-			return nil, err
-		}
-	}
-	if f.Ranges != nil {
-		if len(f.Ranges) != len(f.Results) {
-			return nil, &sweep.DecodeError{Format: formatShard,
-				Reason: fmt.Sprintf("%d range claims for %d sweeps", len(f.Ranges), len(f.Results))}
-		}
-		for k, rs := range f.Ranges {
-			if len(rs) != len(f.Results[k].Sizes) {
-				return nil, &sweep.DecodeError{Format: formatShard,
-					Reason: fmt.Sprintf("sweep %d: %d range claims for %d sizes", k, len(rs), len(f.Results[k].Sizes))}
-			}
-			for i, r := range rs {
-				if r.T0 < 0 || r.T0 > r.T1 {
-					return nil, &sweep.DecodeError{Format: formatShard,
-						Reason: fmt.Sprintf("sweep %d size %d: invalid range claim [%d,%d)", k, i, r.T0, r.T1)}
-				}
-			}
-		}
-	}
-	return f, nil
-}
-
-// runCheckpoint is the progress record of one (experiment, config, shard)
-// run: one engine checkpoint per sweep.
-type runCheckpoint struct {
-	Experiment string              `json:"experiment"`
-	Config     Config              `json:"config"`
-	Shard      sweep.Shard         `json:"shard"`
-	Sweeps     []*sweep.Checkpoint `json:"sweeps"`
-}
-
 // normalizedConfig strips the fields that cannot change result bytes —
-// worker count, the perf toggles, and the ball-sourcing backend — so shards
-// launched with different parallelism or backends still merge. StreamIDs
-// stays: it selects a different permutation family and thus different
-// bytes.
+// worker count, the perf toggles, and the ball-sourcing backend — so
+// executors launched with different parallelism or backends share one run.
+// StreamIDs stays: it selects a different permutation family and thus
+// different bytes.
 func normalizedConfig(cfg Config) Config {
 	cfg.Workers = 0
 	cfg.NoAtlas = false
@@ -112,410 +27,27 @@ func normalizedConfig(cfg Config) Config {
 }
 
 // RunSweeps executes every sweep of a shardable experiment and returns the
-// merged per-sweep aggregates, in Sweeps order. A non-zero shard restricts
-// each sweep to its contiguous slice of the trial space. A non-empty
-// checkpointPath makes the run restartable: an existing file (validated
-// against the experiment, normalized config, shard and per-sweep plans)
-// resumes from its last completed block, progress is committed after every
-// block, and the file is removed once the run completes. Shard runs that
-// must persist their aggregates afterwards use RunShardToFile instead,
-// which keeps the checkpoint until the shard file is durably written.
+// per-sweep aggregates, in Sweeps order. A non-zero shard restricts each
+// sweep to its contiguous slice of the trial space. Durable progress lives
+// in a lease store (RunLeasedSweeps), so checkpointPath must be empty; a
+// non-empty path is an error pointing there.
 func RunSweeps(ctx context.Context, e Experiment, cfg Config, shard sweep.Shard, checkpointPath string) ([]*sweep.Result, error) {
-	return runSweeps(ctx, e, cfg, shard, checkpointPath, false)
-}
-
-// runSweeps is RunSweeps with the checkpoint-retention policy explicit:
-// keepCheckpoint leaves the finished file on disk for the caller to remove
-// once its own durable output (a shard file) exists.
-func runSweeps(ctx context.Context, e Experiment, cfg Config, shard sweep.Shard, checkpointPath string, keepCheckpoint bool) ([]*sweep.Result, error) {
+	if checkpointPath != "" {
+		return nil, fmt.Errorf("experiments: checkpoint files are not supported; make a run resumable with -store DIR -lease and resume it by re-running the same command")
+	}
 	if !e.Shardable() {
-		return nil, fmt.Errorf("experiments: %s does not expose its sweeps; it cannot run sharded or checkpointed", e.ID)
+		return nil, fmt.Errorf("experiments: %s does not expose its sweeps; it cannot run sharded", e.ID)
 	}
 	specs, err := expandSweeps(e, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s sweeps: %w", e.ID, err)
 	}
-	for k := range specs {
-		specs[k].Shard = shard
-	}
-
-	var (
-		ck *runCheckpoint
-		w  *sweep.CheckpointWriter
-	)
-	if checkpointPath != "" {
-		if ck, err = loadOrInitCheckpoint(checkpointPath, e, cfg, shard, specs); err != nil {
-			return nil, err
-		}
-		w = sweep.NewCheckpointWriterFunc(ck.Sweeps,
-			func() error { return sweep.SaveFile(checkpointPath, formatCheckpoint, ck) })
-	}
-
 	results := make([]*sweep.Result, len(specs))
 	for k := range specs {
-		spec := specs[k]
-		runCtx := ctx
-		if w != nil {
-			spec.Done = ck.Sweeps[k].Done
-			spec.OnBlock = w.OnBlockFor(k)
-			// Fail fast on a dead checkpoint: a private cancel aborts the
-			// sweep promptly instead of completing hours of unresumable
-			// work.
-			var cancel context.CancelFunc
-			runCtx, cancel = context.WithCancel(ctx)
-			w.FailFast(cancel)
-			defer cancel()
-		}
-		partial, err := sweep.Run(runCtx, spec)
-		if w != nil {
-			// A persistence failure outranks the cancellation it caused.
-			if werr := w.Err(); werr != nil {
-				return nil, fmt.Errorf("experiments: %s checkpoint: %w", e.ID, werr)
-			}
-		}
-		if err != nil {
+		specs[k].Shard = shard
+		if results[k], err = sweep.Run(ctx, specs[k]); err != nil {
 			return nil, fmt.Errorf("experiments: %s sweep %d: %w", e.ID, k, err)
-		}
-		if w != nil {
-			// The checkpoint aggregates exactly Done (prior + this run's
-			// blocks); reading the result off it avoids double-counting the
-			// resumed complement against the prior record.
-			results[k] = ck.Sweeps[k].Result()
-		} else {
-			results[k] = partial
-		}
-	}
-	if ck != nil && !keepCheckpoint {
-		if err := removeCheckpoint(checkpointPath); err != nil {
-			return nil, err
 		}
 	}
 	return results, nil
-}
-
-// removeCheckpoint deletes a finished run's checkpoint file.
-func removeCheckpoint(path string) error {
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("experiments: remove finished checkpoint: %w", err)
-	}
-	return nil
-}
-
-// loadOrInitCheckpoint returns the resumable record at path, or a fresh one
-// when the file does not exist. An existing record must match the run's
-// identity exactly — a checkpoint from a different experiment, config,
-// shard or plan must never silently merge.
-func loadOrInitCheckpoint(path string, e Experiment, cfg Config, shard sweep.Shard, specs []sweep.Spec) (*runCheckpoint, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		ck := &runCheckpoint{Experiment: e.ID, Config: cfg, Shard: shard,
-			Sweeps: make([]*sweep.Checkpoint, len(specs))}
-		for k := range specs {
-			plan, err := sweep.PlanOf(specs[k])
-			if err != nil {
-				return nil, fmt.Errorf("experiments: sweep %d plan: %w", k, err)
-			}
-			ck.Sweeps[k] = sweep.NewCheckpoint(plan)
-		}
-		return ck, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("experiments: open checkpoint: %w", err)
-	}
-	defer f.Close()
-	ck := &runCheckpoint{}
-	if err := sweep.DecodeFile(f, formatCheckpoint, ck); err != nil {
-		return nil, err
-	}
-	// Structural validation before any identity check or fold: a corrupted
-	// or forged record must fail with the codec's typed error here, never
-	// nil-deref at Plan.Equal or blow an index inside Fold mid-run.
-	for k, s := range ck.Sweeps {
-		if s == nil {
-			return nil, &sweep.DecodeError{Format: formatCheckpoint,
-				Reason: fmt.Sprintf("sweep %d: missing checkpoint record", k)}
-		}
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if ck.Experiment != e.ID {
-		return nil, fmt.Errorf("experiments: checkpoint %s belongs to %s, not %s", path, ck.Experiment, e.ID)
-	}
-	if !reflect.DeepEqual(normalizedConfig(ck.Config), normalizedConfig(cfg)) {
-		return nil, fmt.Errorf("experiments: checkpoint %s was written with a different config", path)
-	}
-	if ck.Shard != shard {
-		return nil, fmt.Errorf("experiments: checkpoint %s covers shard %d/%d, not %d/%d",
-			path, ck.Shard.Index, ck.Shard.Count, shard.Index, shard.Count)
-	}
-	if len(ck.Sweeps) != len(specs) {
-		return nil, fmt.Errorf("experiments: checkpoint %s has %d sweeps, experiment has %d", path, len(ck.Sweeps), len(specs))
-	}
-	for k := range specs {
-		plan, err := sweep.PlanOf(specs[k])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: sweep %d plan: %w", k, err)
-		}
-		if !ck.Sweeps[k].Plan.Equal(plan) {
-			return nil, fmt.Errorf("experiments: checkpoint %s sweep %d plan does not match the experiment's", path, k)
-		}
-	}
-	return ck, nil
-}
-
-// RunShard executes shard i/m of the experiment (checkpointed when
-// checkpointPath is non-empty) and packages the partial aggregates for a
-// later MergeShards. A checkpoint is NOT removed on completion — the
-// aggregates only exist in the returned value, so the caller must persist
-// them before dropping the resumable record (RunShardToFile does both in
-// the safe order).
-func RunShard(ctx context.Context, e Experiment, cfg Config, shard sweep.Shard, checkpointPath string) (*ShardFile, error) {
-	results, err := runSweeps(ctx, e, cfg, shard, checkpointPath, true)
-	if err != nil {
-		return nil, err
-	}
-	ranges, err := shardRanges(e, cfg, shard)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardFile{Experiment: e.ID, Config: cfg, Shard: shard, Results: results, Ranges: ranges}, nil
-}
-
-// shardRanges spells out the trial range a shard's aggregates cover, per
-// sweep and size — the explicit claim MergeShards checks for cross-file
-// disjointness.
-func shardRanges(e Experiment, cfg Config, shard sweep.Shard) ([][]sweep.TrialRange, error) {
-	specs, err := expandSweeps(e, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s sweeps: %w", e.ID, err)
-	}
-	ranges := make([][]sweep.TrialRange, len(specs))
-	for k := range specs {
-		plan, err := sweep.PlanOf(specs[k])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s sweep %d: %w", e.ID, k, err)
-		}
-		counts, err := plan.Counts()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s sweep %d: %w", e.ID, k, err)
-		}
-		ranges[k] = make([]sweep.TrialRange, len(counts))
-		for i, total := range counts {
-			lo, hi := shard.Range(total)
-			ranges[k][i] = sweep.TrialRange{T0: lo, T1: hi}
-		}
-	}
-	return ranges, nil
-}
-
-// RunShardToFile is the durable form of RunShard: it opens outPath up
-// front (a typo'd path fails before any sweep runs), executes the shard,
-// writes and syncs the shard file, and only then removes the checkpoint —
-// so at every instant either the checkpoint or the finished shard file
-// exists, and a crash in the window between them cannot strand completed
-// work.
-func RunShardToFile(ctx context.Context, e Experiment, cfg Config, shard sweep.Shard, checkpointPath, outPath string) error {
-	out, err := os.Create(outPath)
-	if err != nil {
-		return fmt.Errorf("experiments: create shard output: %w", err)
-	}
-	sf, err := RunShard(ctx, e, cfg, shard, checkpointPath)
-	if err != nil {
-		out.Close()
-		os.Remove(outPath) // leave no half-truthful empty shard file behind
-		return err
-	}
-	if err := WriteShardFile(out, sf); err != nil {
-		out.Close()
-		os.Remove(outPath)
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return fmt.Errorf("experiments: sync shard output: %w", err)
-	}
-	if err := out.Close(); err != nil {
-		return fmt.Errorf("experiments: close shard output: %w", err)
-	}
-	if checkpointPath != "" {
-		return removeCheckpoint(checkpointPath)
-	}
-	return nil
-}
-
-// MergeShards validates that the files are the complete shard set of one
-// (experiment, config) run — same identity everywhere, indices covering
-// 0..m-1 exactly once — folds the per-sweep aggregates with the engine's
-// deterministic merge, and tabulates the final table: byte-identical to
-// the table a single process renders.
-func MergeShards(files ...*ShardFile) (Experiment, *Table, error) {
-	if len(files) == 0 {
-		return Experiment{}, nil, fmt.Errorf("experiments: no shard files to merge")
-	}
-	first := files[0]
-	e, err := Get(first.Experiment)
-	if err != nil {
-		return Experiment{}, nil, err
-	}
-	if !e.Shardable() {
-		return Experiment{}, nil, fmt.Errorf("experiments: %s is not shardable; refusing a forged shard file", e.ID)
-	}
-	m := first.Shard.Count
-	if first.Shard.IsZero() {
-		m = 1
-	}
-	if len(files) != m {
-		return Experiment{}, nil, fmt.Errorf("experiments: %s was sharded %d ways but %d file(s) given", e.ID, m, len(files))
-	}
-	// The experiment's own sweep plans define the shape every file must
-	// have — sweep count, sizes per sweep — so a forged or truncated file
-	// is rejected here with a descriptive error instead of panicking in
-	// the merge or in Tabulate.
-	specs, err := expandSweeps(e, first.Config)
-	if err != nil {
-		return Experiment{}, nil, fmt.Errorf("experiments: %s sweeps: %w", e.ID, err)
-	}
-	countsBySweep := make([][]int, len(specs))
-	plansBySweep := make([]sweep.Plan, len(specs))
-	for k := range specs {
-		if plansBySweep[k], err = sweep.PlanOf(specs[k]); err != nil {
-			return Experiment{}, nil, fmt.Errorf("experiments: %s sweep %d: %w", e.ID, k, err)
-		}
-		if countsBySweep[k], err = plansBySweep[k].Counts(); err != nil {
-			return Experiment{}, nil, fmt.Errorf("experiments: %s sweep %d: %w", e.ID, k, err)
-		}
-	}
-	// claims[k][i] collects every file's trial-range claim at (sweep, size)
-	// for the cross-file disjointness and coverage check below.
-	type claim struct {
-		r     sweep.TrialRange
-		shard sweep.Shard
-	}
-	claims := make([][][]claim, len(specs))
-	for k := range specs {
-		claims[k] = make([][]claim, len(specs[k].Sizes))
-	}
-	seen := make([]bool, m)
-	for _, f := range files {
-		if f.Experiment != first.Experiment {
-			return Experiment{}, nil, fmt.Errorf("experiments: mixing shards of %s and %s", first.Experiment, f.Experiment)
-		}
-		if !reflect.DeepEqual(normalizedConfig(f.Config), normalizedConfig(first.Config)) {
-			return Experiment{}, nil, fmt.Errorf("experiments: shard files disagree on the config")
-		}
-		idx, count := f.Shard.Index, f.Shard.Count
-		if f.Shard.IsZero() {
-			idx, count = 0, 1
-		}
-		if count != m {
-			return Experiment{}, nil, fmt.Errorf("experiments: shard counts disagree (%d vs %d)", count, m)
-		}
-		if seen[idx] {
-			return Experiment{}, nil, fmt.Errorf("experiments: shard %d/%d appears twice", idx, m)
-		}
-		seen[idx] = true
-		if len(f.Results) != len(specs) {
-			return Experiment{}, nil, fmt.Errorf("experiments: shard %d/%d carries %d sweep(s), %s defines %d", idx, m, len(f.Results), e.ID, len(specs))
-		}
-		for k, res := range f.Results {
-			if res == nil {
-				return Experiment{}, nil, fmt.Errorf("experiments: shard %d/%d sweep %d: missing aggregates", idx, m, k)
-			}
-			if len(res.Sizes) != len(specs[k].Sizes) {
-				return Experiment{}, nil, fmt.Errorf("experiments: shard %d/%d sweep %d has %d sizes, %s expects %d",
-					idx, m, k, len(res.Sizes), e.ID, len(specs[k].Sizes))
-			}
-			for i := range res.Sizes {
-				if res.Sizes[i].N != specs[k].Sizes[i] {
-					return Experiment{}, nil, fmt.Errorf("experiments: shard %d/%d sweep %d size %d is n=%d, %s expects n=%d",
-						idx, m, k, i, res.Sizes[i].N, e.ID, specs[k].Sizes[i])
-				}
-				// Every file's aggregate must carry exactly the trials of
-				// the range it claims — the explicit Ranges claim when
-				// present, its shard's contiguous slice otherwise. A
-				// truncated-but-self-consistent aggregate is rejected here,
-				// not silently averaged into the table.
-				total := countsBySweep[k][i]
-				lo, hi := f.Shard.Range(total)
-				if f.Ranges != nil {
-					lo, hi = f.Ranges[k][i].T0, f.Ranges[k][i].T1
-				}
-				if hi > total {
-					return Experiment{}, nil, fmt.Errorf("experiments: shard %d/%d sweep %d size n=%d claims trials [%d,%d), the space ends at %d",
-						idx, m, k, res.Sizes[i].N, lo, hi, total)
-				}
-				// Under a quotient plan every executed representative folds
-				// weight virtual trials, so a claimed range owes
-				// (hi-lo)·weight trials in the aggregate.
-				weight := plansBySweep[k].Weight(i)
-				if res.Sizes[i].Trials != (hi-lo)*weight {
-					return Experiment{}, nil, fmt.Errorf("experiments: shard %d/%d sweep %d size n=%d carries %d trials, its claimed range owes %d",
-						idx, m, k, res.Sizes[i].N, res.Sizes[i].Trials, (hi-lo)*weight)
-				}
-				// The extremal trial indices are absolute coordinates; a
-				// duplicated file relabelled as another shard still points
-				// at the original slice and is caught here even when the
-				// trial counts happen to match. Quotient aggregates record
-				// extremal trials as FULL lexicographic ranks — coordinates
-				// of a different (larger) space than the claimed canonical
-				// range — so the containment check only applies unweighted.
-				if res.Sizes[i].Trials > 0 && weight == 1 {
-					for _, ti := range []int{res.Sizes[i].WorstAvgTrial, res.Sizes[i].WorstMaxTrial, res.Sizes[i].BestAvgTrial} {
-						if ti < lo || ti >= hi {
-							return Experiment{}, nil, fmt.Errorf("experiments: shard %d/%d sweep %d size n=%d: extremal trial %d lies outside its claimed range [%d,%d)",
-								idx, m, k, res.Sizes[i].N, ti, lo, hi)
-						}
-					}
-				}
-				claims[k][i] = append(claims[k][i], claim{r: sweep.TrialRange{T0: lo, T1: hi}, shard: f.Shard})
-			}
-		}
-	}
-	// Cross-file check: at every (sweep, size) the claimed ranges must tile
-	// the trial space exactly once. An overlap means the same trials would
-	// be double-counted — a typed *sweep.OverlapError the callers
-	// (cmd/sweepmerge) can distinguish from I/O trouble.
-	for k := range claims {
-		for i := range claims[k] {
-			cs := claims[k][i]
-			sort.Slice(cs, func(a, b int) bool { return cs[a].r.T0 < cs[b].r.T0 })
-			cur := 0
-			var prev sweep.TrialRange
-			for _, c := range cs {
-				if c.r.T0 < cur {
-					return Experiment{}, nil, &sweep.OverlapError{N: specs[k].Sizes[i], A: prev, B: c.r}
-				}
-				if c.r.T0 > cur {
-					return Experiment{}, nil, fmt.Errorf("experiments: sweep %d size n=%d: trials [%d,%d) claimed by no shard",
-						k, specs[k].Sizes[i], cur, c.r.T0)
-				}
-				prev, cur = c.r, c.r.T1
-			}
-			if cur != countsBySweep[k][i] {
-				return Experiment{}, nil, fmt.Errorf("experiments: sweep %d size n=%d: trials [%d,%d) claimed by no shard",
-					k, specs[k].Sizes[i], cur, countsBySweep[k][i])
-			}
-		}
-	}
-	// Fold in shard order for a stable (if immaterial) merge sequence.
-	sorted := append([]*ShardFile(nil), files...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Shard.Index < sorted[j].Shard.Index })
-	merged := make([]*sweep.Result, len(first.Results))
-	for k := range merged {
-		parts := make([]*sweep.Result, len(sorted))
-		for i, f := range sorted {
-			parts[i] = f.Results[k]
-		}
-		res, err := sweep.MergeResults(parts...)
-		if err != nil {
-			return Experiment{}, nil, fmt.Errorf("experiments: merge %s sweep %d: %w", e.ID, k, err)
-		}
-		merged[k] = res
-	}
-	tab, err := e.Tabulate(first.Config, merged)
-	if err != nil {
-		return Experiment{}, nil, err
-	}
-	return e, tab, nil
 }

@@ -67,7 +67,7 @@ func e10() Experiment {
 
 			// Sweep 0: exhaustive engine enumeration — the n! rank space
 			// splits into the same contiguous blocks sampled trials use, so
-			// it shards and checkpoints like any other sweep.
+			// it shards and leases like any other sweep.
 			ex := sweep.Spec{
 				Seed:       cfg.Seed,
 				Sizes:      sizes,

@@ -14,10 +14,10 @@ import (
 
 // Config tunes an experiment run. The zero value plus a seed gives the
 // defaults used in EXPERIMENTS.md; benchmarks use reduced sizes. The JSON
-// tags make a Config part of the shard/checkpoint file identity
-// (distributed.go): two processes cooperating on one table must present
-// equal result-affecting fields (Seed, Sizes, Trials — Workers and the
-// perf toggles never change bytes and are ignored by the comparison).
+// tags make a Config part of a leased run's identity (leased.go): two
+// processes cooperating on one table must present equal result-affecting
+// fields (Seed, Sizes, Trials — Workers and the perf toggles never change
+// bytes and are ignored by the comparison).
 type Config struct {
 	// Seed drives all randomness; equal seeds reproduce tables exactly,
 	// independent of Workers.
@@ -49,10 +49,10 @@ type Config struct {
 	// folded with orbit weight, and the merged aggregates are bit-for-bit
 	// identical to the full n! fold. Unlike the pure perf toggles it stays
 	// part of the config identity: the plan's trial space becomes the
-	// canonical rank space (checkpoints and lease runs carve different
-	// coordinates), and it lifts E10's feasible size cap from
-	// exact.MaxFullEnumerationN to exact.MaxEnumerationN. Sampled sweeps
-	// are unaffected (avgbench -quotient).
+	// canonical rank space (lease runs carve different coordinates), and
+	// it lifts E10's feasible size cap from exact.MaxFullEnumerationN to
+	// exact.MaxEnumerationN. Sampled sweeps are unaffected (avgbench
+	// -quotient).
 	Quotient bool `json:"quotient,omitempty"`
 	// StreamIDs switches the sampled identifier draws to the streaming
 	// permutation family (ids.StreamPerm). Unlike the perf toggles it
@@ -74,23 +74,23 @@ type Experiment struct {
 	// Run executes the experiment and renders its table. The context
 	// cancels the underlying sweeps; a cancelled run returns an error.
 	// Experiments defining the Sweeps/Tabulate split leave Run nil and the
-	// registry derives it, so the single-process path and the sharded
+	// registry derives it, so the single-process path and the leased
 	// cross-process path tabulate through the same code.
 	Run func(ctx context.Context, cfg Config) (*Table, error)
 	// Sweeps, when non-nil, exposes the experiment's sweeps as plain
-	// sweep.Specs — the PLAN an external process can shard or checkpoint
-	// (see RunSweeps). Building specs must be pure: no randomness, no
-	// execution.
+	// sweep.Specs — the PLAN a leased run splits across processes (see
+	// RunSweeps and RunLeasedSweeps). Building specs must be pure: no
+	// randomness, no execution.
 	Sweeps func(cfg Config) ([]sweep.Spec, error)
 	// Tabulate folds the merged per-sweep aggregates (one Result per
 	// Sweeps entry, same order) into the final table. It must depend on
-	// cfg and the aggregates alone, so m merged shard files render the
+	// cfg and the aggregates alone, so a merged leased run renders the
 	// bytes a single process prints.
 	Tabulate func(cfg Config, res []*sweep.Result) (*Table, error)
 }
 
 // Shardable reports whether the experiment exposes the Sweeps/Tabulate
-// split required for cross-process shard and checkpoint runs.
+// split required for leased cross-process runs.
 func (e Experiment) Shardable() bool { return e.Sweeps != nil && e.Tabulate != nil }
 
 // registry holds all experiments keyed by ID.
@@ -112,7 +112,7 @@ func buildRegistry() map[string]Experiment {
 
 // derivedRun is the single-process execution of a Sweeps/Tabulate
 // experiment: run every sweep unsharded, tabulate the results — the exact
-// pipeline shard+merge reproduces across processes.
+// pipeline a merged leased run reproduces across processes.
 func derivedRun(e Experiment) func(context.Context, Config) (*Table, error) {
 	return func(ctx context.Context, cfg Config) (*Table, error) {
 		results, err := RunSweeps(ctx, e, cfg, sweep.Shard{}, "")

@@ -306,3 +306,53 @@ func TestConfigKnobsReachEveryExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestRunSweepsRejectsUnshardable: experiments without the Sweeps/Tabulate
+// split fail fast instead of silently running unsharded.
+func TestRunSweepsRejectsUnshardable(t *testing.T) {
+	e3, err := Get("E3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunSweeps(context.Background(), e3, Config{Seed: 1}, sweep.Shard{Index: 0, Count: 2}, ""); err == nil {
+		t.Error("unshardable experiment accepted a shard run")
+	}
+}
+
+// TestRunSweepsRejectsCheckpointPath: durable progress lives in a lease
+// store, so a checkpoint path fails before any sweep runs and points at
+// the store flags.
+func TestRunSweepsRejectsCheckpointPath(t *testing.T) {
+	e6, err := Get("E6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunSweeps(context.Background(), e6, Config{Seed: 1, Sizes: []int{16}, Trials: 2}, sweep.Shard{}, "run.ckpt")
+	if err == nil || !strings.Contains(err.Error(), "-store DIR -lease") {
+		t.Errorf("checkpoint path: got %v, want an error naming -store DIR -lease", err)
+	}
+}
+
+// TestUnknownExperimentErrorListsIDs: the typed miss carries the whole
+// registered menu in natural order.
+func TestUnknownExperimentErrorListsIDs(t *testing.T) {
+	_, err := Get("E99")
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	var ue *UnknownExperimentError
+	if !errors.As(err, &ue) {
+		t.Fatalf("error %T is not *UnknownExperimentError", err)
+	}
+	if ue.ID != "E99" {
+		t.Errorf("ID = %q", ue.ID)
+	}
+	for _, id := range []string{"E1", "E2", "E10"} {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("error %q does not list %s", err, id)
+		}
+	}
+	if want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"}; len(ue.Known) != len(want) {
+		t.Errorf("Known = %v, want %v", ue.Known, want)
+	}
+}

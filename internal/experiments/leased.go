@@ -1,12 +1,14 @@
 package experiments
 
 // Leased runs: the experiment-level face of the sweep engine's
-// work-stealing lease protocol (internal/sweep/lease.go). Where a static
-// shard run fixes the i-of-m split up front, a leased run lets any number
-// of executors — started at any time, on any machine sharing the store —
-// pull grain-aligned trial ranges from the uncovered space, steal
-// straggler tails and re-execute dead workers' claims, all while the
-// merged table stays byte-identical to a single-process run.
+// work-stealing lease protocol (internal/sweep/lease.go). A static
+// schedule (LeaseOptions.Static) fixes an i-of-m split up front; a dynamic
+// leased run lets any number of executors — started at any time, on any
+// machine sharing the store — pull grain-aligned trial ranges from the
+// uncovered space, steal straggler tails and re-execute dead workers'
+// claims. Re-running an executor over the same store resumes from its
+// completion records. Either way the merged table stays byte-identical to
+// a single-process run.
 //
 // The store layout namespaces one run per (experiment, normalized config):
 //
@@ -151,20 +153,6 @@ func MergeLeased(e Experiment, cfg Config, st sweep.Store) (*Table, error) {
 		results[k] = res
 	}
 	return e.Tabulate(cfg, results)
-}
-
-// FindLeasedRuns lists the leased runs a store holds, by reading every
-// manifest under "lease/". Torn or foreign manifests are skipped.
-func FindLeasedRuns(st sweep.Store) ([]LeaseManifest, error) {
-	runs, err := DiscoverLeasedRuns(st)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]LeaseManifest, len(runs))
-	for i, r := range runs {
-		out[i] = r.Manifest
-	}
-	return out, nil
 }
 
 // LeasedRun is one discovered run: its manifest plus the store prefix its

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -15,7 +14,8 @@ import (
 // TestLeasedRunTablesByteIdentical is the lease-mode acceptance at the
 // table level: for E2, E6 and the exhaustive E10, executing through the
 // lease protocol and collecting from the store renders byte-identical
-// tables to a single-process run.
+// tables to a single-process run — with one dynamic executor, and with m
+// static i-of-m executors (m in {1, 2, 4}) of different parallelism.
 func TestLeasedRunTablesByteIdentical(t *testing.T) {
 	cases := []struct {
 		id  string
@@ -53,12 +53,34 @@ func TestLeasedRunTablesByteIdentical(t *testing.T) {
 					want.Render(), got.Render())
 			}
 			// The store is self-describing: the manifest names the run.
-			runs, err := FindLeasedRuns(st)
+			runs, err := DiscoverLeasedRuns(st)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(runs) != 1 || runs[0].Experiment != tc.id {
-				t.Errorf("FindLeasedRuns = %+v, want one %s run", runs, tc.id)
+			if len(runs) != 1 || runs[0].Manifest.Experiment != tc.id {
+				t.Errorf("DiscoverLeasedRuns = %+v, want one %s run", runs, tc.id)
+			}
+
+			for _, m := range []int{1, 2, 4} {
+				st := sweep.NewMemStore()
+				for i := 0; i < m; i++ {
+					cfg := tc.cfg
+					cfg.Workers = 1 + i%3 // executor-local parallelism must not matter
+					if _, err := RunLeasedSweeps(context.Background(), e, cfg, st, sweep.LeaseOptions{
+						Worker: fmt.Sprintf("s%d", i), GrainsPerSize: 4,
+						Static: sweep.Shard{Index: i, Count: m},
+					}); err != nil {
+						t.Fatalf("m=%d static %d: %v", m, i, err)
+					}
+				}
+				got, err := MergeLeased(e, tc.cfg, st)
+				if err != nil {
+					t.Fatalf("m=%d: %v", m, err)
+				}
+				if want.Render() != got.Render() {
+					t.Errorf("m=%d: static table differs from single process\nwant:\n%s\ngot:\n%s",
+						m, want.Render(), got.Render())
+				}
 			}
 		})
 	}
@@ -142,53 +164,5 @@ func TestLeasedManifestRejectsForeignRun(t *testing.T) {
 	// nothing rather than mixing runs.
 	if _, err := MergeLeased(e, other, st); err == nil {
 		t.Fatal("merge of an absent run: want error")
-	}
-}
-
-// TestMergeShardsRejectsOverlappingRanges is the double-counting
-// satellite: shard files whose trial-range claims overlap — the classic
-// forgery being one file duplicated and relabelled as another shard index
-// — must fail with the typed *sweep.OverlapError, or with the extremal
-// containment check when the forgery drops the explicit claims.
-func TestMergeShardsRejectsOverlappingRanges(t *testing.T) {
-	e, err := Get("E6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Seed: 2, Sizes: []int{16, 24}, Trials: 20}
-	a, err := RunShard(context.Background(), e, cfg, sweep.Shard{Index: 0, Count: 2}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Forgery 1: duplicate shard 0, relabel it shard 1, keep its recorded
-	// ranges. The claims collide and the merge says so, typed.
-	dup := *a
-	dup.Shard = sweep.Shard{Index: 1, Count: 2}
-	var ov *sweep.OverlapError
-	if _, _, err := MergeShards(a, &dup); !errors.As(err, &ov) {
-		t.Fatalf("relabelled duplicate with ranges: want *sweep.OverlapError, got %v", err)
-	}
-
-	// Forgery 2: same relabelling with the explicit claims stripped (a
-	// pre-Ranges file). Trial counts alone cannot tell — both slices owe 10
-	// trials — but the extremal trial indices still point into shard 0's
-	// slice and are caught.
-	bare := *a
-	bare.Shard = sweep.Shard{Index: 1, Count: 2}
-	bare.Ranges = nil
-	aBare := *a
-	aBare.Ranges = nil
-	if _, _, err := MergeShards(&aBare, &bare); err == nil {
-		t.Fatal("relabelled duplicate without ranges: want error")
-	}
-
-	// An honest complement still merges fine.
-	b, err := RunShard(context.Background(), e, cfg, sweep.Shard{Index: 1, Count: 2}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := MergeShards(a, b); err != nil {
-		t.Fatalf("honest shard set: %v", err)
 	}
 }

@@ -222,7 +222,7 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 		w.assign = make([]int, n)
 	}
 	// The hot path folds trials straight into the worker's shard. Only a
-	// checkpointing sweep (OnBlock set) pays for a block-local aggregate —
+	// sweep observing blocks (OnBlock set) pays for a block-local aggregate —
 	// kept behind a pointer so the common case allocates nothing per block.
 	dst := &w.shard[b.SizeIdx]
 	var blockStats *SizeStats

@@ -178,16 +178,13 @@ func DecodeCompletion(r io.Reader) (*Completion, error) {
 
 // OverlapError reports two trial ranges claiming the same trials — merging
 // them would double-count. It is the typed rejection of the first-write-
-// wins precondition, raised by CollectLeased and by the experiment-level
-// shard merge.
+// wins precondition, raised by CollectLeased.
 type OverlapError struct {
 	// N is the instance size whose trial space collided.
 	N int
 	// A and B are the colliding ranges.
 	A, B TrialRange
-	// Key names the offending completion record in the store (range B's),
-	// when the overlap was found collecting a leased run; empty for the
-	// file-based shard merge.
+	// Key names the offending completion record in the store (range B's).
 	Key string
 }
 
@@ -347,6 +344,31 @@ func grainSize(count, grains int) int {
 // alignUp rounds t up to the next grain boundary.
 func alignUp(t, grain int) int {
 	return ((t + grain - 1) / grain) * grain
+}
+
+// insertRange adds r to an ascending non-overlapping range list, merging
+// with adjacent or overlapping neighbours.
+func insertRange(ranges []TrialRange, r TrialRange) []TrialRange {
+	at := len(ranges)
+	for i, x := range ranges {
+		if r.T0 <= x.T1 {
+			at = i
+			break
+		}
+	}
+	// Absorb every range that touches [r.T0, r.T1).
+	end := at
+	for end < len(ranges) && ranges[end].T0 <= r.T1 {
+		if ranges[end].T0 < r.T0 {
+			r.T0 = ranges[end].T0
+		}
+		if ranges[end].T1 > r.T1 {
+			r.T1 = ranges[end].T1
+		}
+		end++
+	}
+	out := append(ranges[:at:at], r)
+	return append(out, ranges[end:]...)
 }
 
 // ensureLeasePlan anchors the run's identity in the store: the first
@@ -509,8 +531,8 @@ type leaseRunner struct {
 //
 // The spec must leave Shard, Done and OnBlock unset: the lease schedule
 // owns the trial-space slicing, and per-grain completions are the progress
-// record (there is no separate checkpoint — a restarted executor resumes
-// from whatever the store already covers).
+// record — a restarted executor resumes from whatever the store already
+// covers.
 func RunLeased(ctx context.Context, spec Spec, st Store, opts LeaseOptions) (LeaseStats, error) {
 	var zero LeaseStats
 	if st == nil {

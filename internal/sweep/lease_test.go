@@ -471,3 +471,24 @@ func TestLeaseProgressSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertRangeCoalesces pins the done-range bookkeeping.
+func TestInsertRangeCoalesces(t *testing.T) {
+	var rs []TrialRange
+	for _, r := range []TrialRange{{4, 6}, {0, 2}, {6, 8}, {2, 4}} {
+		rs = insertRange(rs, r)
+	}
+	if want := []TrialRange{{0, 8}}; !reflect.DeepEqual(rs, want) {
+		t.Fatalf("coalesced ranges %v, want %v", rs, want)
+	}
+	rs = insertRange(nil, TrialRange{10, 12})
+	rs = insertRange(rs, TrialRange{0, 2})
+	rs = insertRange(rs, TrialRange{20, 22})
+	if want := []TrialRange{{0, 2}, {10, 12}, {20, 22}}; !reflect.DeepEqual(rs, want) {
+		t.Fatalf("disjoint ranges %v, want %v", rs, want)
+	}
+	rs = insertRange(rs, TrialRange{2, 10})
+	if want := []TrialRange{{0, 12}, {20, 22}}; !reflect.DeepEqual(rs, want) {
+		t.Fatalf("bridged ranges %v, want %v", rs, want)
+	}
+}

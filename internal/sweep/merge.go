@@ -4,9 +4,9 @@ package sweep
 // aggregates back into one Result. It is the same fold the execute layer
 // applies in-process — integer totals add, histograms add, extremal trials
 // are selected by (value, trial index) — exported so aggregates can cross a
-// process boundary: shard files from m processes, a checkpoint's record
-// plus a resumed run, or any other partition of the trial space, all merge
-// to bytes identical to a single uninterrupted run.
+// process boundary: per-grain completion records from any number of lease
+// executors, a prefix plus a resumed run, or any other partition of the
+// trial space, all merge to bytes identical to a single uninterrupted run.
 
 import (
 	"context"
@@ -41,8 +41,8 @@ func finish(ctx context.Context, spec Spec, total int, ws []worker, firstErr err
 	return res, nil
 }
 
-// MergeResults folds any number of partial Results — shard files, a
-// checkpoint plus a resumed run — into one. All inputs must agree on the
+// MergeResults folds any number of partial Results — static shards, a
+// prefix plus a resumed run — into one. All inputs must agree on the
 // size list (length and per-slot N); inputs covering disjoint trial sets
 // merge to exactly the aggregate a single process computes over their
 // union, in any argument order, because every fold is commutative and

@@ -12,7 +12,7 @@ import (
 // the deterministic chunking of that space into contiguous blocks. Plans
 // carry none of the Spec's functions (Graph, Alg, ...); they are the part
 // of a sweep that can cross a process boundary, be compared for a resume,
-// or be recorded in a checkpoint. The EXECUTE layer (execute.go) runs the
+// or anchor a lease run in a store. The EXECUTE layer (execute.go) runs the
 // planned blocks through the worker pool; the MERGE layer (merge.go,
 // codec.go) folds the per-shard aggregates back together.
 
@@ -57,8 +57,8 @@ func (s Shard) Range(total int) (lo, hi int) {
 }
 
 // TrialRange is a half-open range [T0, T1) of trial indices (or, under
-// Exhaustive, permutation ranks) at one size — the unit checkpoints record
-// completed work in.
+// Exhaustive, permutation ranks) at one size — the unit Spec.Done and lease
+// coverage record completed work in.
 type TrialRange struct {
 	T0 int `json:"t0"`
 	T1 int `json:"t1"`
@@ -66,7 +66,7 @@ type TrialRange struct {
 
 // Block is one schedulable unit of a plan: a contiguous trial range at one
 // size index. Blocks are what workers execute, what Spec.OnBlock observes,
-// and what checkpoints mark as done.
+// and what lease completion records mark as done.
 type Block struct {
 	SizeIdx int `json:"size"`
 	T0      int `json:"t0"`
@@ -76,7 +76,7 @@ type Block struct {
 // Plan is the serializable coordinate description of one sweep shard. Two
 // processes holding equal Plans (and equivalent Spec functions) execute
 // disjoint-or-identical work depending only on Shard, so a Plan is the
-// identity a checkpoint or a shard file validates against before merging.
+// identity a lease run validates against before merging.
 type Plan struct {
 	Seed int64 `json:"seed"`
 	// Sizes is the n sweep, in Spec order.

@@ -94,8 +94,8 @@ func (s *SizeStats) checkFoldWeighted(maxR int, sum measure.Summary, hist []int6
 // index, so merged shards produce bit-identical statistics at any worker
 // count.
 // The JSON tags define the stable serialized shape the versioned codec
-// (codec.go) writes into shard and checkpoint files; renaming one is a
-// format change and must bump the codec version.
+// (codec.go) writes into results and completion records; renaming one is
+// a format change and must bump the codec version.
 type SizeStats struct {
 	// N is the number of vertices at this sweep size.
 	N int `json:"n"`
@@ -211,9 +211,9 @@ func (s *SizeStats) addTrialWeighted(trial int, sum measure.Summary, hist []int6
 // Merge folds another partial aggregate for the same size into s. Commutes
 // with addTrial in any interleaving: integer totals add, histograms add,
 // and the extremal-trial selection depends only on (value, trial index) —
-// so worker shards, cross-process shard files and checkpoint records all
-// merge to the bytes a single uninterrupted run produces. o is not
-// modified, and s shares no mutable state with it afterwards.
+// so worker shards and cross-process completion records all merge to the
+// bytes a single uninterrupted run produces. o is not modified, and s
+// shares no mutable state with it afterwards.
 func (s *SizeStats) Merge(o *SizeStats) {
 	if o.Trials == 0 {
 		return

@@ -21,11 +21,11 @@
 //     GOMAXPROCS) and fold into O(sizes)-memory SizeStats — integer totals,
 //     extremal-trial summaries, pooled radius histograms — never into
 //     per-trial slices.
-//   - MERGE (merge.go, codec.go, checkpoint.go): exported deterministic
-//     aggregate merging plus a stable versioned codec, so partial
-//     aggregates survive process boundaries: shard files from m processes
-//     merge to the bytes a single process produces, and a checkpoint file
-//     resumes an interrupted sweep from its last completed block.
+//   - MERGE (merge.go, codec.go, store.go, lease.go): exported
+//     deterministic aggregate merging plus a stable versioned codec, so
+//     partial aggregates survive process boundaries: per-grain completion
+//     records in a Store merge to the bytes a single process produces,
+//     however the run was split, killed or resumed.
 //
 // Determinism is the package contract: each (size, trial) derives its own
 // rng seed from the sweep seed and its coordinates alone, and all folds
@@ -90,13 +90,14 @@ type Spec struct {
 	// bytes identical to an unsharded run.
 	Shard Shard
 	// Done lists, per size index, ascending non-overlapping trial ranges a
-	// previous run already executed (a checkpoint's record): planned blocks
-	// cover the shard's complement of Done, and the returned aggregates
-	// contain only the newly executed trials — merge them with the
-	// checkpoint's to recover the full shard. Empty means nothing is done.
+	// previous run already executed: planned blocks cover the shard's
+	// complement of Done, and the returned aggregates contain only the
+	// newly executed trials — merge them with the earlier run's to recover
+	// the full shard. Empty means nothing is done. Lease grains run
+	// through it.
 	Done [][]TrialRange
 	// OnBlock, when set, observes every fully completed block together with
-	// the block's own partial aggregate (checkpoint writers fold these).
+	// the block's own partial aggregate.
 	// Called from worker goroutines — must be safe for concurrent use — and
 	// partial is only valid during the call. Blocks cut short by
 	// cancellation are not reported: their trials still appear in the

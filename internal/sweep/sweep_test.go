@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -356,4 +358,196 @@ func TestMap(t *testing.T) {
 	if err := Map(ctx, 4, 1000, func(int) error { return nil }); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled Map error = %v", err)
 	}
+}
+
+// TestCheckpointFullRunMatches: observing a run through Spec.OnBlock
+// leaves its own aggregates unchanged, and the per-block partials a caller
+// records fold with SizeStats.Merge to exactly those aggregates over ranges
+// covering the whole trial space.
+func TestCheckpointFullRunMatches(t *testing.T) {
+	spec := cycleSpec(19, []int{16, 24}, 8, 3)
+	want, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	done := make([][]TrialRange, len(spec.Sizes))
+	record := make([]SizeStats, len(spec.Sizes))
+	for i, n := range spec.Sizes {
+		record[i].N = n
+	}
+	spec.OnBlock = func(b Block, partial *SizeStats) {
+		mu.Lock()
+		defer mu.Unlock()
+		done[b.SizeIdx] = insertRange(done[b.SizeIdx], TrialRange{T0: b.T0, T1: b.T1})
+		record[b.SizeIdx].Merge(partial)
+	}
+	got, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("OnBlock changed the sweep's own aggregates")
+	}
+	if rec := (&Result{Sizes: record}); !reflect.DeepEqual(want, rec) {
+		t.Errorf("recorded block aggregates diverge from the run\nwant %+v\ngot  %+v", want, rec)
+	}
+	for i, ranges := range done {
+		if want := []TrialRange{{0, 8}}; !reflect.DeepEqual(ranges, want) {
+			t.Errorf("size %d done ranges %v, want %v", i, ranges, want)
+		}
+	}
+}
+
+// TestCheckpointResumeIdentical is the kill+resume contract of Spec.Done
+// and Spec.OnBlock: the caller keeps its own record of every completed
+// block's range and partial aggregate, the sweep is interrupted
+// mid-flight, and a resumed run over the recorded Done ranges executes the
+// complement. The recorded partials folded with SizeStats.Merge, plus the
+// resumed run, must equal an uninterrupted run byte for byte — for both
+// sampled and exhaustive sweeps.
+func TestCheckpointResumeIdentical(t *testing.T) {
+	cases := []struct {
+		name string
+		spec Spec
+	}{
+		{"sampled", cycleSpec(23, []int{12, 20}, 30, 2)},
+		{"exhaustive", exhaustiveSpec([]int{5, 6}, 2)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := Run(context.Background(), tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Phase 1: record every reported block, cancel after a few —
+			// the "kill".
+			var (
+				mu     sync.Mutex
+				blocks int
+				done   = make([][]TrialRange, len(tc.spec.Sizes))
+				record = make([]SizeStats, len(tc.spec.Sizes))
+			)
+			for i, n := range tc.spec.Sizes {
+				record[i].N = n
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			spec := tc.spec
+			spec.OnBlock = func(b Block, partial *SizeStats) {
+				mu.Lock()
+				defer mu.Unlock()
+				done[b.SizeIdx] = insertRange(done[b.SizeIdx], TrialRange{T0: b.T0, T1: b.T1})
+				record[b.SizeIdx].Merge(partial)
+				if blocks++; blocks == 3 {
+					cancel()
+				}
+			}
+			if _, err := Run(ctx, spec); err == nil && blocks < 3 {
+				t.Fatal("phase 1 finished before any block completed; cannot exercise resume")
+			}
+
+			// Phase 2: run the complement of the record and fold it in.
+			resume := tc.spec
+			resume.Done = done
+			rest, err := Run(context.Background(), resume)
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			for i := range record {
+				record[i].Merge(&rest.Sizes[i])
+			}
+			if got := (&Result{Sizes: record}); !reflect.DeepEqual(want, got) {
+				t.Errorf("resumed aggregates diverge from the uninterrupted run\nwant %+v\ngot  %+v", want, got)
+			}
+		})
+	}
+}
+
+// TestCancelledFinishMergesExactly is the direct coverage of the cancelled
+// path through finish: the partial aggregates of a context-cancelled run
+// must equal — byte for byte — the fold of exactly the trials that
+// completed, and those trials must merge shard-style to the same bytes.
+func TestCancelledFinishMergesExactly(t *testing.T) {
+	const (
+		seed   = 31
+		n      = 16
+		trials = 5000
+	)
+	spec := cycleSpec(seed, []int{n}, trials, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var completed [trials]atomic.Bool
+	var count atomic.Int32
+	spec.Observe = func(_, trial int, _ graph.Graph, _ ids.Assignment, _ *local.Result) {
+		completed[trial].Store(true)
+		if count.Add(1) == 40 {
+			cancel()
+		}
+	}
+	res, err := Run(ctx, spec)
+	if err == nil {
+		t.Fatal("cancelled sweep returned nil error; cannot exercise the partial path")
+	}
+	if res.Sizes[0].Trials >= trials {
+		t.Fatal("cancellation completed everything; nothing partial to check")
+	}
+
+	// Recompute every completed trial independently and fold it the way the
+	// engine does — Observe fires immediately before the engine's own fold,
+	// with no cancellation point between, so the recorded set IS the
+	// aggregated set.
+	c := graph.MustCycle(n)
+	want := SizeStats{N: n}
+	var firstHalf, secondHalf SizeStats
+	firstHalf.N, secondHalf.N = n, n
+	folded := 0
+	for trial := 0; trial < trials; trial++ {
+		if !completed[trial].Load() {
+			continue
+		}
+		rng := rand.New(rand.NewSource(trialSeed(seed, 0, trial)))
+		r, err := local.RunView(c, ids.Random(n, rng), largestid.Pruning{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist := histOf(r.Radii)
+		sum := summarizeHist(hist)
+		want.addTrial(trial, sum, hist, false)
+		if folded%2 == 0 {
+			firstHalf.addTrial(trial, sum, hist, false)
+		} else {
+			secondHalf.addTrial(trial, sum, hist, false)
+		}
+		folded++
+	}
+	if folded != res.Sizes[0].Trials {
+		t.Fatalf("observed %d completed trials, aggregate counted %d", folded, res.Sizes[0].Trials)
+	}
+	if !reflect.DeepEqual(res.Sizes[0], want) {
+		t.Errorf("cancelled partial aggregates diverge from the completed trials\ngot  %+v\nwant %+v", res.Sizes[0], want)
+	}
+
+	// The same trials split across two shard-style partials must merge to
+	// the identical bytes — the guarantee cross-process resume rests on.
+	merged := SizeStats{N: n}
+	merged.Merge(&secondHalf)
+	merged.Merge(&firstHalf)
+	if !reflect.DeepEqual(merged, want) {
+		t.Errorf("split-and-merge of the completed trials diverges\ngot  %+v\nwant %+v", merged, want)
+	}
+}
+
+// histOf builds one trial's radius histogram, trimmed to its max radius —
+// the exact shape the engine folds.
+func histOf(radii []int) []int64 {
+	var hist []int64
+	for _, r := range radii {
+		for len(hist) <= r {
+			hist = append(hist, 0)
+		}
+		hist[r]++
+	}
+	return hist
 }
