@@ -11,21 +11,23 @@ import (
 	"repro/internal/sweep"
 )
 
+// tableCases are the table-level acceptance runs: E2, E6 and the
+// exhaustive E10 at sizes small enough for every test run.
+var tableCases = []struct {
+	id  string
+	cfg Config
+}{
+	{"E2", Config{Seed: 7, Sizes: []int{16, 32, 64}, Trials: 6}},
+	{"E6", Config{Seed: 11, Sizes: []int{16, 33}, Trials: 9}},
+	{"E10", Config{Seed: 3, Sizes: []int{5, 6}, Trials: 60}},
+}
+
 // TestLeasedRunTablesByteIdentical is the lease-mode acceptance at the
-// table level: for E2, E6 and the exhaustive E10, executing through the
-// lease protocol and collecting from the store renders byte-identical
-// tables to a single-process run — with one dynamic executor, and with m
-// static i-of-m executors (m in {1, 2, 4}) of different parallelism.
+// table level: executing through the lease protocol with one dynamic
+// executor and collecting from the store renders byte-identical tables to
+// a single-process run.
 func TestLeasedRunTablesByteIdentical(t *testing.T) {
-	cases := []struct {
-		id  string
-		cfg Config
-	}{
-		{"E2", Config{Seed: 7, Sizes: []int{16, 32, 64}, Trials: 6}},
-		{"E6", Config{Seed: 11, Sizes: []int{16, 33}, Trials: 9}},
-		{"E10", Config{Seed: 3, Sizes: []int{5, 6}, Trials: 60}},
-	}
-	for _, tc := range cases {
+	for _, tc := range tableCases {
 		t.Run(tc.id, func(t *testing.T) {
 			e, err := Get(tc.id)
 			if err != nil {
@@ -60,7 +62,25 @@ func TestLeasedRunTablesByteIdentical(t *testing.T) {
 			if len(runs) != 1 || runs[0].Manifest.Experiment != tc.id {
 				t.Errorf("DiscoverLeasedRuns = %+v, want one %s run", runs, tc.id)
 			}
+		})
+	}
+}
 
+// TestShardMergeTablesByteIdentical is the static-split acceptance at the
+// table level: m static i-of-m executors (m in {1, 2, 4}) of different
+// parallelism writing one store, merged by MergeLeased, render
+// byte-identical tables to a single-process run.
+func TestShardMergeTablesByteIdentical(t *testing.T) {
+	for _, tc := range tableCases {
+		t.Run(tc.id, func(t *testing.T) {
+			e, err := Get(tc.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := e.Run(context.Background(), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, m := range []int{1, 2, 4} {
 				st := sweep.NewMemStore()
 				for i := 0; i < m; i++ {
