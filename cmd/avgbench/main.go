@@ -13,10 +13,10 @@
 //	avgbench -e all -timeout 30s    # give up (with an error) after 30s
 //	avgbench -e E3 -csv             # machine-readable output
 //	avgbench -e all -json          	# machine-readable output, with metadata
-//	avgbench -e E6 -noatlas         # force the ball-builder path (perf bisection)
+//	avgbench -e E6 -backend builder # force the ball-builder path (perf bisection)
 //	avgbench -e E6 -nokernels       # keep the atlas, skip the flat decision kernels
 //	avgbench -e E11 -backend implicit    # closed-form ball synthesis: O(workers) memory at n=10^7
-//	avgbench -e E2 -backend builder      # pin any backend; tables are byte-identical across them
+//	avgbench -e E2 -backend atlas        # pin any backend; tables are byte-identical across them
 //	avgbench -e E2 -streamids            # streaming Feistel identifier draws (a different, backend-invariant family)
 //	avgbench -e E10 -sizes 13,14 -quotient   # symmetry-quotient enumeration: bit-identical tables, n!/2n of the work
 //	avgbench -e E12                      # quotient vs full n! fold, diffed field by field
@@ -75,7 +75,6 @@ func run(args []string) error {
 	asCSV := fs.Bool("csv", false, "emit CSV instead of aligned text")
 	asJSON := fs.Bool("json", false, "emit JSON (tables plus metadata)")
 	list := fs.Bool("list", false, "list experiments and exit")
-	noAtlas := fs.Bool("noatlas", false, "disable the shared ball-atlas fast path (identical tables, builder-path timing)")
 	noKernels := fs.Bool("nokernels", false, "disable the flat decision kernels over the atlas (identical tables, view-path timing)")
 	backendFlag := fs.String("backend", "", "sweep ball-sourcing backend: atlas, builder, or implicit (empty = auto; identical tables across backends)")
 	streamIDs := fs.Bool("streamids", false, "draw identifiers from the streaming Feistel permutation family instead of the buffered shuffle (different, backend-invariant tables)")
@@ -100,18 +99,14 @@ func run(args []string) error {
 		return fmt.Errorf("-csv and -json are mutually exclusive")
 	}
 
-	// Backend names fail fast, before any sweep starts, with the typed
-	// error; the NoAtlas conflict mirrors the engine's own validation.
+	// Backend names fail fast, before any sweep starts, with the typed error.
 	backend, err := sweep.ParseBackend(*backendFlag)
 	if err != nil {
 		return err
 	}
-	if *noAtlas && backend != sweep.BackendAuto && backend != sweep.BackendBuilder {
-		return fmt.Errorf("-noatlas conflicts with -backend %s; drop one of the two", backend)
-	}
 
 	cfg := experiments.Config{Seed: *seed, Trials: *trials, Workers: *workers,
-		NoAtlas: *noAtlas, NoKernels: *noKernels, Backend: string(backend),
+		NoKernels: *noKernels, Backend: string(backend),
 		StreamIDs: *streamIDs, Quotient: *quotient}
 	if *sizesFlag != "" {
 		for _, part := range strings.Split(*sizesFlag, ",") {

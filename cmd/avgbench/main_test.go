@@ -135,9 +135,14 @@ func TestRunWorkers(t *testing.T) {
 	}
 }
 
-func TestRunNoAtlas(t *testing.T) {
-	if err := run([]string{"-e", "E6", "-sizes", "16,32", "-trials", "3", "-noatlas"}); err != nil {
-		t.Errorf("noatlas: %v", err)
+// TestRunBuilderBackend: -backend builder is the one way to pin the ball
+// builder; the retired -noatlas flag is refused.
+func TestRunBuilderBackend(t *testing.T) {
+	if err := run([]string{"-e", "E6", "-sizes", "16,32", "-trials", "3", "-backend", "builder"}); err != nil {
+		t.Errorf("backend builder: %v", err)
+	}
+	if err := run([]string{"-e", "E6", "-sizes", "16,32", "-trials", "3", "-noatlas"}); err == nil {
+		t.Error("-noatlas accepted; want an unknown-flag error")
 	}
 }
 

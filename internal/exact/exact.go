@@ -54,8 +54,7 @@ var ErrTooLarge = errors.New("exact: instance exceeds the enumeration cap")
 // Cole-Vishkin's ForMaxID need the assignment).
 type Algorithm func(n int, a ids.Assignment) local.ViewAlgorithm
 
-// Options tunes an enumeration run; the zero value uses all cores with the
-// atlas and kernel fast paths on.
+// Options tunes an enumeration run; the zero value uses all cores.
 type Options struct {
 	// Workers bounds the sweep worker pool (0 = GOMAXPROCS).
 	Workers int
@@ -66,11 +65,6 @@ type Options struct {
 	// with Stats.Merge to bytes identical to an unsharded run. CycleStats
 	// rejects shards: its recurrence identity needs the full space.
 	Shard sweep.Shard
-	// NoAtlas / NoKernels pin the enumeration to the slower execution
-	// paths — results are byte-identical; the toggles exist for A/B
-	// profiling, exactly as in sweep.Spec.
-	NoAtlas   bool
-	NoKernels bool
 	// NoQuotient disables the symmetry-quotient fast path even for graphs
 	// declaring automorphisms, forcing the full n! fold — the A/B baseline
 	// the quotient's bit-identity is benchmarked and tested against. With
@@ -225,8 +219,6 @@ func Distribution(ctx context.Context, g graph.Graph, alg Algorithm, opt Options
 		Quotient:   quotient,
 		Shard:      opt.Shard,
 		Workers:    opt.Workers,
-		NoAtlas:    opt.NoAtlas,
-		NoKernels:  opt.NoKernels,
 		Graph:      func(int, *rand.Rand) (graph.Graph, error) { return g, nil },
 		Alg:        alg,
 	})

@@ -20,7 +20,6 @@ import (
 // different bytes.
 func normalizedConfig(cfg Config) Config {
 	cfg.Workers = 0
-	cfg.NoAtlas = false
 	cfg.NoKernels = false
 	cfg.Backend = ""
 	return cfg

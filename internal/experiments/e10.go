@@ -72,23 +72,17 @@ func e10() Experiment {
 				Seed:       cfg.Seed,
 				Sizes:      sizes,
 				Exhaustive: true,
-				Workers:    cfg.Workers,
-				NoAtlas:    cfg.NoAtlas,
-				NoKernels:  cfg.NoKernels,
 				Graph:      cycle,
 				Alg:        pruning,
 			}
 			// Sweep 1: the standard Monte-Carlo sweep.
 			mc := sweep.Spec{
-				Seed:      cfg.Seed,
-				Sizes:     sizes,
-				Trials:    trialsOrDefault(cfg, 2000),
-				Workers:   cfg.Workers,
-				NoAtlas:   cfg.NoAtlas,
-				NoKernels: cfg.NoKernels,
-				Graph:     cycle,
-				Alg:       pruning,
-				Verify:    verifyLargestID,
+				Seed:   cfg.Seed,
+				Sizes:  sizes,
+				Trials: trialsOrDefault(cfg, 2000),
+				Graph:  cycle,
+				Alg:    pruning,
+				Verify: verifyLargestID,
 			}
 			return []sweep.Spec{ex, mc}, nil
 		},

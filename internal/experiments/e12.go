@@ -56,9 +56,6 @@ func e12() Experiment {
 				Seed:       cfg.Seed,
 				Sizes:      sizes,
 				Exhaustive: true,
-				Workers:    cfg.Workers,
-				NoAtlas:    cfg.NoAtlas,
-				NoKernels:  cfg.NoKernels,
 				Graph:      func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) },
 				Alg:        func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} },
 			}

@@ -87,17 +87,14 @@ func runSynthesized(ctx context.Context, cfg Config, s int) (string, error) {
 		return "", fmt.Errorf("space %d too small for a ring", s)
 	}
 	spec := sweep.Spec{
-		Seed:      cfg.Seed,
-		Sizes:     []int{n},
-		Trials:    1,
-		Workers:   cfg.Workers,
-		NoAtlas:   cfg.NoAtlas,
-		NoKernels: cfg.NoKernels,
-		Graph:     func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) },
-		Assign:    assignFixed(func(n int) (ids.Assignment, error) { return ids.Identity(n), nil }),
-		Alg:       func(int, ids.Assignment) local.ViewAlgorithm { return ta },
-		Verify:    verifyColoring,
-		Strict:    true,
+		Seed:   cfg.Seed,
+		Sizes:  []int{n},
+		Trials: 1,
+		Graph:  func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) },
+		Assign: assignFixed(func(n int) (ids.Assignment, error) { return ids.Identity(n), nil }),
+		Alg:    func(int, ids.Assignment) local.ViewAlgorithm { return ta },
+		Verify: verifyColoring,
+		Strict: true,
 	}
 	res, err := sweep.Run(ctx, configSpec(spec, cfg))
 	if err != nil {

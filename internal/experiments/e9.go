@@ -68,16 +68,13 @@ func e9() Experiment {
 			for fi, f := range families {
 				diams := make([]int, len(f.sizes))
 				spec := sweep.Spec{
-					Seed:      cfg.Seed,
-					Sizes:     f.sizes,
-					Trials:    trials,
-					Workers:   cfg.Workers,
-					NoAtlas:   cfg.NoAtlas,
-					NoKernels: cfg.NoKernels,
-					Graph:     f.build,
-					Alg:       func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} },
-					Verify:    verifyLargestID,
-					Strict:    true,
+					Seed:   cfg.Seed,
+					Sizes:  f.sizes,
+					Trials: trials,
+					Graph:  f.build,
+					Alg:    func(int, ids.Assignment) local.ViewAlgorithm { return largestid.Pruning{} },
+					Verify: verifyLargestID,
+					Strict: true,
 					Observe: func(sizeIdx, trial int, g graph.Graph, _ ids.Assignment, _ *local.Result) {
 						if trial == 0 {
 							diams[sizeIdx] = graph.Diameter(g)

@@ -29,19 +29,15 @@ type Config struct {
 	Trials int `json:"trials,omitempty"`
 	// Workers bounds the sweep worker pool (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// NoAtlas disables the sweep engine's shared per-size ball atlas.
-	// Tables are byte-identical either way; the toggle exists for
-	// benchmarking the fast path against the builder baseline and for
-	// bisecting perf regressions.
-	NoAtlas bool `json:"noAtlas,omitempty"`
 	// NoKernels pins atlas-backed runs to the per-vertex view path instead
 	// of the flat decision kernels. Tables are byte-identical either way;
-	// like NoAtlas it exists for A/B profiling (avgbench -nokernels).
+	// the toggle exists for A/B profiling (avgbench -nokernels).
 	NoKernels bool `json:"noKernels,omitempty"`
 	// Backend names the sweep ball-sourcing backend ("", "atlas",
 	// "builder", "implicit" — see sweep.Backend). Tables are byte-identical
-	// across backends, so like the toggles above it never changes result
-	// bytes; the implicit backend is what fits n = 10^6..10^8 sweeps in
+	// across backends, so like NoKernels it never changes result bytes;
+	// "builder" benchmarks the atlas fast path against its baseline, and
+	// the implicit backend is what fits n = 10^6..10^8 sweeps in
 	// O(workers) memory (avgbench -backend).
 	Backend string `json:"backend,omitempty"`
 	// Quotient routes exhaustive sweeps through symmetry-quotient
@@ -187,27 +183,25 @@ func trialsOrDefault(cfg Config, def int) int {
 
 // cycleSpec is the spec skeleton shared by the ring experiments: sizes and
 // trials resolved against the experiment defaults, cycle instances, and the
-// config's seed and worker pool.
+// config's seed.
 func cycleSpec(cfg Config, defSizes []int, defTrials int) sweep.Spec {
 	return sweep.Spec{
-		Seed:      cfg.Seed,
-		Sizes:     sizesOrDefault(cfg, defSizes),
-		Trials:    trialsOrDefault(cfg, defTrials),
-		Workers:   cfg.Workers,
-		NoAtlas:   cfg.NoAtlas,
-		NoKernels: cfg.NoKernels,
-		Graph:     func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) },
+		Seed:   cfg.Seed,
+		Sizes:  sizesOrDefault(cfg, defSizes),
+		Trials: trialsOrDefault(cfg, defTrials),
+		Graph:  func(n int, _ *rand.Rand) (graph.Graph, error) { return graph.NewCycle(n) },
 	}
 }
 
 // expandSweeps is how every runner obtains an experiment's specs: it calls
-// Sweeps and then applies the config's cross-cutting knobs — backend
-// selection and streaming identifier draws — uniformly, so E1–E11 all
-// honour -backend/-streamids without forwarding them one by one. A spec
-// that pinned its own backend (E11 defaulting to implicit) keeps it, and
-// StreamIDs only lands where sampled draws actually happen: a fixed
-// Assign source or exhaustive rank enumeration draws nothing, so the flag
-// is a no-op there rather than a conflict.
+// Sweeps and then applies the config's cross-cutting knobs — worker pool,
+// kernel toggle, backend selection and streaming identifier draws —
+// uniformly, so every experiment honours -workers/-nokernels/-backend/
+// -streamids without forwarding them one by one. A spec that pinned its
+// own backend (E11 defaulting to implicit) keeps it, and StreamIDs only
+// lands where sampled draws actually happen: a fixed Assign source or
+// exhaustive rank enumeration draws nothing, so the flag is a no-op there
+// rather than a conflict.
 func expandSweeps(e Experiment, cfg Config) ([]sweep.Spec, error) {
 	specs, err := e.Sweeps(cfg)
 	if err != nil {
@@ -219,10 +213,14 @@ func expandSweeps(e Experiment, cfg Config) ([]sweep.Spec, error) {
 	return specs, nil
 }
 
-// configSpec applies the config's backend and streaming-draw knobs to one
-// spec — the per-spec form of expandSweeps, for the custom-Run experiments
-// (E4, E5, E7, E8, E9) that call sweep.Run with inline specs.
+// configSpec applies the config's execution and streaming-draw knobs to
+// one spec — the per-spec form of expandSweeps, for the custom-Run
+// experiments (E4, E5, E7, E8, E9) that call sweep.Run with inline specs.
+// It is the one place the execution-only fields (Workers, NoKernels,
+// Backend) reach a spec.
 func configSpec(spec sweep.Spec, cfg Config) sweep.Spec {
+	spec.Workers = cfg.Workers
+	spec.NoKernels = cfg.NoKernels
 	if spec.Backend == sweep.BackendAuto {
 		spec.Backend = sweep.Backend(cfg.Backend)
 	}

@@ -305,6 +305,33 @@ func TestConfigKnobsReachEveryExperiment(t *testing.T) {
 			t.Fatalf("%s with StreamIDs: %v", id, err)
 		}
 	}
+
+	// The execution-only knobs never change bytes, so the comparisons
+	// above cannot show one being dropped: check that every spec carries
+	// them, whether it comes from Sweeps or from an inline configSpec.
+	knobs := Config{Seed: 1, Workers: 3, NoKernels: true, Backend: "builder"}
+	carries := func(s sweep.Spec) bool {
+		return s.Workers == 3 && s.NoKernels && s.Backend == sweep.BackendBuilder
+	}
+	if s := configSpec(sweep.Spec{}, knobs); !carries(s) {
+		t.Errorf("configSpec dropped an execution knob: workers=%d nokernels=%v backend=%q",
+			s.Workers, s.NoKernels, s.Backend)
+	}
+	for _, e := range All() {
+		if !e.Shardable() {
+			continue
+		}
+		specs, err := expandSweeps(e, knobs)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		for k, s := range specs {
+			if !carries(s) {
+				t.Errorf("%s sweep %d dropped an execution knob: workers=%d nokernels=%v backend=%q",
+					e.ID, k, s.Workers, s.NoKernels, s.Backend)
+			}
+		}
+	}
 }
 
 // TestRunSweepsRejectsUnshardable: experiments without the Sweeps/Tabulate

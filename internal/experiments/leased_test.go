@@ -186,3 +186,58 @@ func TestLeasedManifestRejectsForeignRun(t *testing.T) {
 		t.Fatal("merge of an absent run: want error")
 	}
 }
+
+// TestJobKeyAndManifestCompatibility pins the store identity across the
+// retirement of the noAtlas toggle: job keys keep their values, and a
+// manifest whose config still carries "noAtlas" is discovered and joined
+// like any other run of the same normalized config.
+func TestJobKeyAndManifestCompatibility(t *testing.T) {
+	e, err := Get("E6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 1, Sizes: []int{16, 32}, Trials: 3}
+	const wantKey = "e6-3dfadbd4719baed5"
+	if got := JobKey(e, cfg); got != wantKey {
+		t.Fatalf("JobKey = %q, want %q", got, wantKey)
+	}
+	// The manifest bytes an executor launched with -noatlas -workers 3
+	// wrote before the toggle became Backend "builder".
+	const legacy = `{
+ "format": "experiments.leasemanifest",
+ "version": 2,
+ "payload": {
+  "experiment": "E6",
+  "config": {
+   "seed": 1,
+   "sizes": [
+    16,
+    32
+   ],
+   "trials": 3,
+   "workers": 3,
+   "noAtlas": true
+  }
+ }
+}
+`
+	st := sweep.NewMemStore()
+	prefix := LeaseRunPrefix(e, cfg)
+	if err := st.Put(manifestKey(prefix), []byte(legacy)); err != nil {
+		t.Fatal(err)
+	}
+	runs, err := DiscoverLeasedRuns(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 1 || runs[0].Prefix != prefix || runs[0].Manifest.Experiment != "E6" ||
+		JobKey(e, runs[0].Manifest.Config) != wantKey {
+		t.Fatalf("DiscoverLeasedRuns = %+v, want the legacy run under %s", runs, prefix)
+	}
+	if err := ensureManifest(st, prefix, e, cfg); err != nil {
+		t.Fatalf("ensureManifest refused the legacy manifest: %v", err)
+	}
+	if data, err := st.Get(manifestKey(prefix)); err != nil || string(data) != legacy {
+		t.Errorf("ensureManifest rewrote the legacy manifest (err %v)", err)
+	}
+}

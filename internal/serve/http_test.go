@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -108,15 +109,29 @@ func TestHTTPErrors(t *testing.T) {
 	cases := []struct {
 		name, body string
 		want       int
+		// wantErr, when set, must appear in the error body.
+		wantErr string
 	}{
-		{"malformed JSON", `{"experiment":`, http.StatusBadRequest},
-		{"unknown field", `{"experiment":"E6","conf":{}}`, http.StatusBadRequest},
-		{"missing experiment", `{"config":{"seed":1}}`, http.StatusBadRequest},
-		{"unknown experiment", `{"experiment":"E99","config":{"seed":1}}`, http.StatusBadRequest},
+		{"malformed JSON", `{"experiment":`, http.StatusBadRequest, ""},
+		{"unknown field", `{"experiment":"E6","conf":{}}`, http.StatusBadRequest, "conf"},
+		{"missing experiment", `{"config":{"seed":1}}`, http.StatusBadRequest, ""},
+		{"unknown experiment", `{"experiment":"E99","config":{"seed":1}}`, http.StatusBadRequest, ""},
+		// The builder is pinned with "backend":"builder"; the retired
+		// toggle is an unknown config field, refused by name.
+		{"retired noAtlas", `{"experiment":"E6","config":{"seed":1,"noAtlas":true}}`, http.StatusBadRequest, "noAtlas"},
 	}
 	for _, tc := range cases {
-		if resp, _ := postJob(t, srv, tc.body); resp.StatusCode != tc.want {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
 			t.Errorf("%s: POST = %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+		if !strings.Contains(string(body), tc.wantErr) {
+			t.Errorf("%s: error body %q does not name %q", tc.name, body, tc.wantErr)
 		}
 	}
 

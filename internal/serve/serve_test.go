@@ -100,7 +100,7 @@ func TestSubmitServesCLIBytesAndDedupes(t *testing.T) {
 	// Parallelism knobs must not change the identity.
 	alt := testConfig
 	alt.Workers = 7
-	alt.NoAtlas = true
+	alt.Backend = "builder"
 	if s3, err := c.Submit("E6", alt); err != nil || s3.ID != s1.ID {
 		t.Fatalf("normalized identity: id %q err %v, want %q", s3.ID, err, s1.ID)
 	}

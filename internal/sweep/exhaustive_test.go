@@ -44,16 +44,16 @@ func TestExhaustiveDeterministicAcrossWorkerCounts(t *testing.T) {
 			t.Errorf("workers=%d: exhaustive aggregates differ\nseq: %+v\ngot: %+v", workers, base, got)
 		}
 	}
-	for _, noAtlas := range []bool{false, true} {
+	for _, backend := range []Backend{BackendAtlas, BackendBuilder} {
 		spec := exhaustiveSpec(sizes, 3)
-		spec.NoAtlas = noAtlas
-		spec.NoKernels = !noAtlas
+		spec.Backend = backend
+		spec.NoKernels = backend == BackendAtlas
 		got, err := Run(context.Background(), spec)
 		if err != nil {
-			t.Fatalf("noAtlas=%v: %v", noAtlas, err)
+			t.Fatalf("backend=%s: %v", backend, err)
 		}
 		if !reflect.DeepEqual(base, got) {
-			t.Errorf("noAtlas=%v noKernels=%v: aggregates differ from fast path", noAtlas, !noAtlas)
+			t.Errorf("backend=%s noKernels=%v: aggregates differ from fast path", backend, spec.NoKernels)
 		}
 	}
 }

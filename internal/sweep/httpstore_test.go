@@ -125,7 +125,7 @@ type dropNextResponse struct {
 func (d *dropNextResponse) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if d.drops.Add(-1) >= 0 {
 		rec := httptest.NewRecorder()
-		d.inner.ServeHTTP(rec, r) // the write lands...
+		d.inner.ServeHTTP(rec, r)   // the write lands...
 		panic(http.ErrAbortHandler) // ...and the response dies on the wire
 	}
 	d.inner.ServeHTTP(w, r)

@@ -133,12 +133,6 @@ type Spec struct {
 	// a trial check, or the sweep restricted to Trials = 1. A slot keyed by
 	// sizeIdx alone races between the trials that share the size.
 	Observe func(sizeIdx, trial int, g graph.Graph, a ids.Assignment, res *local.Result)
-	// NoAtlas disables the shared per-size ball atlas. By default the sweep
-	// builds one graph.BallAtlas per size and every worker serves its views
-	// from it, turning the per-trial inner loop from BFS + adjacency
-	// rebuild into relabel + decide; ball structure is permutation-
-	// invariant, so results are byte-identical either way.
-	NoAtlas bool
 	// NoKernels pins atlas-backed runs to the per-vertex view path even for
 	// algorithms implementing local.Kernel. By default a kernel-capable
 	// algorithm decides every vertex in one flat pass over the atlas
@@ -155,8 +149,7 @@ type Spec struct {
 	// Results are byte-identical across backends for equal seeds; the
 	// implicit backend is what holds sweep memory to O(workers) at
 	// n = 10^6..10^8. BackendImplicit requires every size's graph to
-	// implement graph.Implicit with a comparable dynamic type, and explicit
-	// non-builder backends conflict with NoAtlas.
+	// implement graph.Implicit with a comparable dynamic type.
 	Backend Backend
 	// StreamIDs replaces the default buffered identifier draw
 	// (ids.RandomInto) with the streaming permutation family
@@ -357,7 +350,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 
 	// Resolve the ball-sourcing backend against the built graphs, then pin
 	// the resolved value into the spec copy so EXECUTE never re-derives it.
-	backend, err := resolveBackend(&spec, graphs)
+	backend, err := resolveBackend(spec.Backend, graphs)
 	if err != nil {
 		return nil, err
 	}

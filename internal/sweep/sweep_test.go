@@ -107,7 +107,7 @@ func TestMatchesSequentialLoop(t *testing.T) {
 // optimisation.
 func TestAtlasOnOffIdentical(t *testing.T) {
 	base := cycleSpec(17, []int{16, 33, 64}, 7, 1)
-	base.NoAtlas = true
+	base.Backend = BackendBuilder
 	want, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestAtlasOnOffIdentical(t *testing.T) {
 // sweep whose atlases exhaust mid-run still emits identical tables.
 func TestAtlasMemLimitFallbackIdentical(t *testing.T) {
 	base := cycleSpec(21, []int{48}, 6, 2)
-	base.NoAtlas = true
+	base.Backend = BackendBuilder
 	want, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
@@ -157,12 +157,12 @@ func TestAtlasAcrossFamilies(t *testing.T) {
 		spec := cycleSpec(5, []int{25}, 4, 3)
 		spec.Graph = build
 		spec.Verify = nil // GNP may be disconnected; skip the ring verifier
-		spec.NoAtlas = true
+		spec.Backend = BackendBuilder
 		want, err := Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s builder: %v", name, err)
 		}
-		spec.NoAtlas = false
+		spec.Backend = BackendAtlas
 		got, err := Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s atlas: %v", name, err)
