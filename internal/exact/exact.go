@@ -58,13 +58,6 @@ type Algorithm func(n int, a ids.Assignment) local.ViewAlgorithm
 type Options struct {
 	// Workers bounds the sweep worker pool (0 = GOMAXPROCS).
 	Workers int
-	// Shard restricts Distribution to the contiguous rank-block slice
-	// Shard.Index of Shard.Count of the n! space — the engine's plan shards
-	// applied to exhaustive enumeration, so exact ground truth can be split
-	// across processes. The partial Stats of all Shard.Count runs combine
-	// with Stats.Merge to bytes identical to an unsharded run. CycleStats
-	// rejects shards: its recurrence identity needs the full space.
-	Shard sweep.Shard
 	// NoQuotient disables the symmetry-quotient fast path even for graphs
 	// declaring automorphisms, forcing the full n! fold — the A/B baseline
 	// the quotient's bit-identity is benchmarked and tested against. With
@@ -108,8 +101,7 @@ func PruningRadii(a ids.Assignment) []int {
 }
 
 // Stats are exact statistics of an algorithm's radius distribution over
-// every identifier permutation of one instance (or, under Options.Shard,
-// over one contiguous rank block of them — Merge recombines the blocks).
+// every identifier permutation of one instance.
 type Stats struct {
 	N     int
 	Perms int64
@@ -120,8 +112,7 @@ type Stats struct {
 	// BestSum is the minimum achievable radius sum.
 	BestSum int
 	// TotalSum is Σ over permutations of Σ r(v): the integer MeanSum
-	// derives from, carried explicitly so sharded partials merge to the
-	// exact division an unsharded run performs.
+	// derives from.
 	TotalSum int64
 	// MeanSum is the expectation of the radius sum under a uniformly
 	// random permutation (§4's further-work quantity, exactly). Always
@@ -146,40 +137,6 @@ func (s Stats) MeanAvg() float64 { return s.MeanSum / float64(s.N) }
 // Quantile returns the q-quantile of the pooled per-vertex radius
 // distribution, with the same interpolation as measure.Quantile.
 func (s Stats) Quantile(q float64) float64 { return sweep.HistQuantile(s.Hist, q) }
-
-// Merge combines two shard partials (Options.Shard) covering disjoint rank
-// blocks of the SAME instance into the statistics of their union: extremes
-// take the max/min, integer totals and histograms add, and MeanSum is
-// re-derived from the merged integers — so merging all Shard.Count
-// partials reproduces an unsharded run's Stats byte for byte, in any merge
-// order. Neither input is modified.
-func (s Stats) Merge(o Stats) (Stats, error) {
-	if s.N != o.N {
-		return Stats{}, fmt.Errorf("exact: merging stats of different instances (n=%d vs n=%d)", s.N, o.N)
-	}
-	if o.Perms == 0 {
-		return s, nil
-	}
-	if s.Perms == 0 {
-		return o, nil
-	}
-	out := s
-	out.Perms += o.Perms
-	out.TotalSum += o.TotalSum
-	if o.WorstSum > out.WorstSum {
-		out.WorstSum = o.WorstSum
-	}
-	if o.BestSum < out.BestSum {
-		out.BestSum = o.BestSum
-	}
-	out.MeanSum = float64(out.TotalSum) / float64(out.Perms)
-	out.Hist = make([]int64, max(len(s.Hist), len(o.Hist)))
-	copy(out.Hist, s.Hist)
-	for r, c := range o.Hist {
-		out.Hist[r] += c
-	}
-	return out, nil
-}
 
 // quotientEligible reports whether g declares an automorphism group the
 // quotient path can exploit at its size.
@@ -217,7 +174,6 @@ func Distribution(ctx context.Context, g graph.Graph, alg Algorithm, opt Options
 		Sizes:      []int{n},
 		Exhaustive: true,
 		Quotient:   quotient,
-		Shard:      opt.Shard,
 		Workers:    opt.Workers,
 		Graph:      func(int, *rand.Rand) (graph.Graph, error) { return g, nil },
 		Alg:        alg,
@@ -225,21 +181,18 @@ func Distribution(ctx context.Context, g graph.Graph, alg Algorithm, opt Options
 	if err != nil {
 		return Stats{}, err
 	}
+	// A completed run covers all n! >= 1 permutations, so the mean is
+	// never 0/0.
 	s := res.Sizes[0]
-	st := Stats{
+	return Stats{
 		N:        n,
 		Perms:    int64(s.Trials),
 		WorstSum: s.WorstAvg.Sum,
 		BestSum:  s.BestAvg.Sum,
 		TotalSum: s.TotalSum,
+		MeanSum:  float64(s.TotalSum) / float64(s.Trials),
 		Hist:     s.Hist,
-	}
-	// A shard sliced thinner than the rank space can be empty; 0/0 must not
-	// leak a NaN into a later Merge.
-	if s.Trials > 0 {
-		st.MeanSum = float64(s.TotalSum) / float64(s.Trials)
-	}
-	return st, nil
+	}, nil
 }
 
 // CycleStats enumerates the pruning algorithm over all n! permutations of
@@ -250,9 +203,6 @@ func Distribution(ctx context.Context, g graph.Graph, alg Algorithm, opt Options
 func CycleStats(ctx context.Context, n int, opt Options) (Stats, error) {
 	if n < 3 {
 		return Stats{}, fmt.Errorf("exact: need n >= 3, got %d", n)
-	}
-	if !opt.Shard.IsZero() {
-		return Stats{}, fmt.Errorf("exact: CycleStats needs the full rank space for the recurrence identity; shard via Distribution and Merge instead")
 	}
 	c, err := graph.NewCycle(n)
 	if err != nil {

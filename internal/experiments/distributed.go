@@ -26,13 +26,15 @@ func normalizedConfig(cfg Config) Config {
 }
 
 // RunSweeps executes every sweep of a shardable experiment and returns the
-// per-sweep aggregates, in Sweeps order. A non-zero shard restricts each
-// sweep to its contiguous slice of the trial space. Durable progress lives
-// in a lease store (RunLeasedSweeps), so checkpointPath must be empty; a
-// non-empty path is an error pointing there.
+// per-sweep aggregates, in Sweeps order. Durable progress and static
+// splits both live in a lease store (RunLeasedSweeps), so shard must be
+// zero and checkpointPath empty; anything else is an error pointing there.
 func RunSweeps(ctx context.Context, e Experiment, cfg Config, shard sweep.Shard, checkpointPath string) ([]*sweep.Result, error) {
 	if checkpointPath != "" {
 		return nil, fmt.Errorf("experiments: checkpoint files are not supported; make a run resumable with -store DIR -lease and resume it by re-running the same command")
+	}
+	if !shard.IsZero() {
+		return nil, fmt.Errorf("experiments: in-process shard runs are not supported; split a run with -store DIR -shard I/M and merge it with sweepmerge -store DIR")
 	}
 	if !e.Shardable() {
 		return nil, fmt.Errorf("experiments: %s does not expose its sweeps; it cannot run sharded", e.ID)
@@ -43,7 +45,6 @@ func RunSweeps(ctx context.Context, e Experiment, cfg Config, shard sweep.Shard,
 	}
 	results := make([]*sweep.Result, len(specs))
 	for k := range specs {
-		specs[k].Shard = shard
 		if results[k], err = sweep.Run(ctx, specs[k]); err != nil {
 			return nil, fmt.Errorf("experiments: %s sweep %d: %w", e.ID, k, err)
 		}

@@ -46,7 +46,7 @@ func e10Sizes(cfg Config) (sizes []int, clamped bool) {
 }
 
 // e10 closes the validation ladder: the EXACT ground truth — every one of
-// the n! identifier permutations, enumerated as plan shards of the sweep
+// the n! identifier permutations, enumerated as rank blocks of the sweep
 // engine — against the Monte-Carlo estimates the large-n experiments rely
 // on. The exact side is cross-checked against the §2 recurrence during
 // tabulation, so one table ties all three layers (analytic, exact, sampled)

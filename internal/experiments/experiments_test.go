@@ -335,14 +335,29 @@ func TestConfigKnobsReachEveryExperiment(t *testing.T) {
 }
 
 // TestRunSweepsRejectsUnshardable: experiments without the Sweeps/Tabulate
-// split fail fast instead of silently running unsharded.
+// split fail fast instead of silently running something else.
 func TestRunSweepsRejectsUnshardable(t *testing.T) {
 	e3, err := Get("E3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSweeps(context.Background(), e3, Config{Seed: 1}, sweep.Shard{Index: 0, Count: 2}, ""); err == nil {
-		t.Error("unshardable experiment accepted a shard run")
+	_, err = RunSweeps(context.Background(), e3, Config{Seed: 1}, sweep.Shard{}, "")
+	if err == nil || !strings.Contains(err.Error(), "does not expose its sweeps") {
+		t.Errorf("unshardable experiment: got %v, want an error saying it does not expose its sweeps", err)
+	}
+}
+
+// TestRunSweepsRejectsShard: a static split lives in a lease store, so a
+// non-zero shard fails before any sweep runs and points at the store
+// flags.
+func TestRunSweepsRejectsShard(t *testing.T) {
+	e6, err := Get("E6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunSweeps(context.Background(), e6, Config{Seed: 1, Sizes: []int{16}, Trials: 2}, sweep.Shard{Index: 0, Count: 2}, "")
+	if err == nil || !strings.Contains(err.Error(), "-store DIR -shard I/M") {
+		t.Errorf("shard 0/2: got %v, want an error naming -store DIR -shard I/M", err)
 	}
 }
 

@@ -25,7 +25,7 @@ const codecVersion = 2
 // Format tags distinguish the file kinds sharing the envelope.
 const (
 	// FormatResult tags a serialized Result: the partial aggregates one
-	// plan shard produced (MergeResults folds them).
+	// run produced (MergeResults folds them).
 	FormatResult = "sweep.result"
 	// FormatLeasePlan tags a lease run's identity record: the plan plus the
 	// grain schedule every cooperating executor must agree on (lease.go).
@@ -111,7 +111,7 @@ func DecodeFile(r io.Reader, format string, out any) error {
 	return nil
 }
 
-// EncodeResult serializes a Result (typically one shard's partial
+// EncodeResult serializes a Result (typically one run's partial
 // aggregates) for a later MergeResults in another process.
 func EncodeResult(w io.Writer, res *Result) error {
 	return EncodeFile(w, FormatResult, res)

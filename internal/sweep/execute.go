@@ -47,7 +47,7 @@ type worker struct {
 // execute runs the planned blocks across the worker pool and merges the
 // worker shards into the final Result. quotients (non-nil only under
 // Spec.Quotient) hold each size's canonical ranker. total is the planned
-// WEIGHTED trial count (after shard and Done carve-outs) used for
+// WEIGHTED trial count (after the Done carve-out) used for
 // cancellation accounting.
 func execute(ctx context.Context, spec Spec, graphs []graph.Graph, atlases []*graph.BallAtlas, quotients []*ids.Quotient, blocks []Block, total, workers int) (*Result, error) {
 	// The sequential path needs no cancel broadcast — its loop checks

@@ -1,14 +1,16 @@
 package sweep
 
-// Work-stealing shard leases over a Store: the dynamic replacement for the
-// static i-of-m Shard split. Executors lease variable-size, grain-aligned
-// trial ranges out of the plan's uncovered space (the Done-complement
-// subtractRanges computes), execute them one grain at a time through the
-// ordinary engine, and publish an immutable per-grain completion record
-// after each grain. Fast workers drain the free pool, then steal the tail
-// half of the largest straggler lease, then speculatively re-execute live
-// stragglers — so heterogeneous workers finish together instead of waiting
-// on the slowest static slice.
+// Work-stealing grain leases over a Store: the engine's one way to split a
+// trial space across executors and to make progress durable. Executors
+// lease variable-size, grain-aligned trial ranges out of the plan's
+// uncovered space (the Done-complement subtractRanges computes), execute
+// them one grain at a time through the ordinary engine, and publish an
+// immutable per-grain completion record after each grain. Fast workers
+// drain the free pool, then steal the tail half of the largest straggler
+// lease, then speculatively re-execute live stragglers — so heterogeneous
+// workers finish together instead of waiting on the slowest static slice.
+// LeaseOptions.Static degrades the schedule to a fixed i-of-m slice per
+// executor.
 //
 // Safety never rests on mutual exclusion. Every grain's aggregate is a
 // deterministic function of the plan and the grain's coordinates alone, so
@@ -204,8 +206,7 @@ type IncompleteError struct {
 	N int
 	// Missing lists its uncovered ranges, ascending.
 	Missing []TrialRange
-	// Prefix is the run's store namespace, when the gap was found
-	// collecting a leased run; empty for the file-based shard merge.
+	// Prefix is the store namespace of the run whose records left the gap.
 	Prefix string
 }
 
@@ -311,9 +312,14 @@ func (e *WorkerError) Unwrap() error { return e.Err }
 
 // planSum fingerprints a plan for cheap foreign-record rejection. It is
 // not a security boundary — the codec's structural validation is — just a
-// guard against honest cross-run mixups.
+// guard against honest cross-run mixups. The hashed JSON still ends with
+// the always-zero "shard" member plans once carried, so every fingerprint,
+// and with it every completion record already in a store, stays valid.
 func planSum(p Plan) uint64 {
-	raw, err := json.Marshal(p)
+	raw, err := json.Marshal(struct {
+		Plan
+		Shard Shard `json:"shard"`
+	}{Plan: p})
 	if err != nil {
 		// A Plan is plain ints and bools; Marshal cannot fail on it.
 		panic(fmt.Sprintf("sweep: marshal plan: %v", err))
@@ -409,25 +415,33 @@ type scanState struct {
 type leaseScanner struct {
 	st      Store
 	prefix  string
+	plan    Plan
 	sum     uint64
 	counts  []int
 	weights []int
 	comps   map[string]*Completion
 }
 
-func newLeaseScanner(st Store, prefix string, sum uint64, counts, weights []int) *leaseScanner {
-	return &leaseScanner{st: st, prefix: prefix, sum: sum, counts: counts,
-		weights: weights, comps: make(map[string]*Completion)}
+// newLeaseScanner watches the run at prefix; counts must be plan.Counts().
+func newLeaseScanner(st Store, prefix string, plan Plan, counts []int) *leaseScanner {
+	ws := make([]int, len(plan.Sizes))
+	for i := range ws {
+		ws[i] = plan.Weight(i)
+	}
+	return &leaseScanner{st: st, prefix: prefix, plan: plan, sum: planSum(plan),
+		counts: counts, weights: ws, comps: make(map[string]*Completion)}
 }
 
-// planWeights derives the per-size fold weights of a plan whose Counts
-// already validated (Orders aligned with Sizes under Quotient).
-func planWeights(p Plan) []int {
-	ws := make([]int, len(p.Sizes))
-	for i := range ws {
-		ws[i] = p.Weight(i)
-	}
-	return ws
+// accepts is the one test a decoded completion must pass to count for the
+// run: scans cover its range with it, executors never overwrite it, and
+// CollectLeased folds it. It rejects a foreign plan, a block outside the
+// plan's trial space, an aggregate of another size, or a fold weight the
+// plan does not use. A rejected record reads as absent, so some executor
+// re-runs its grain and overwrites it.
+func (s *leaseScanner) accepts(c *Completion) bool {
+	i := c.Block.SizeIdx
+	return c.PlanSum == s.sum && i < len(s.counts) && c.Block.T1 <= s.counts[i] &&
+		c.Stats.N == s.plan.Sizes[i] && normWeight(c.Weight) == int64(s.weights[i])
 }
 
 func (s *leaseScanner) scan() (*scanState, error) {
@@ -444,13 +458,8 @@ func (s *leaseScanner) scan() (*scanState, error) {
 			continue // vanished mid-scan: absent
 		}
 		c, derr := DecodeCompletion(bytes.NewReader(data))
-		if derr != nil {
-			continue // torn or forged: absent until overwritten with valid bytes
-		}
-		if c.PlanSum != s.sum || c.Block.SizeIdx >= len(s.counts) ||
-			c.Block.T1 > s.counts[c.Block.SizeIdx] ||
-			normWeight(c.Weight) != int64(s.weights[c.Block.SizeIdx]) {
-			continue // foreign record (wrong plan, range, or fold weight)
+		if derr != nil || !s.accepts(c) {
+			continue // torn, forged or foreign: absent until overwritten
 		}
 		s.comps[name] = c
 	}
@@ -511,9 +520,7 @@ type leaseRunner struct {
 	st      Store
 	opts    LeaseOptions
 	prefix  string
-	sum     uint64
 	counts  []int
-	weights []int        // fold weight per size index (quotient orbit size)
 	grain   []int        // grain size per size index
 	target  []TrialRange // this worker's target range per size
 	order   []int        // size indices, largest instance first
@@ -529,7 +536,7 @@ type leaseRunner struct {
 // Merge the records with CollectLeased; the result is byte-identical to a
 // single uninterrupted Run of the same spec.
 //
-// The spec must leave Shard, Done and OnBlock unset: the lease schedule
+// The spec must leave Done and OnBlock unset: the lease schedule
 // owns the trial-space slicing, and per-grain completions are the progress
 // record — a restarted executor resumes from whatever the store already
 // covers.
@@ -544,8 +551,8 @@ func RunLeased(ctx context.Context, spec Spec, st Store, opts LeaseOptions) (Lea
 	if err := validStoreName(opts.Worker); err != nil {
 		return zero, fmt.Errorf("sweep: worker id: %w", err)
 	}
-	if !spec.Shard.IsZero() || spec.Done != nil || spec.OnBlock != nil {
-		return zero, fmt.Errorf("sweep: RunLeased owns the schedule; Spec.Shard, Done and OnBlock must be unset")
+	if spec.Done != nil || spec.OnBlock != nil {
+		return zero, fmt.Errorf("sweep: RunLeased owns the schedule; Spec.Done and OnBlock must be unset")
 	}
 	if err := opts.Static.validate(); err != nil {
 		return zero, err
@@ -603,10 +610,10 @@ func RunLeased(ctx context.Context, spec Spec, st Store, opts LeaseOptions) (Lea
 	}
 
 	r := &leaseRunner{
-		spec: spec, st: st, opts: opts, prefix: opts.Prefix,
-		sum: planSum(plan), counts: counts, weights: planWeights(plan),
-		grain:  make([]int, len(counts)),
-		target: make([]TrialRange, len(counts)),
+		spec: spec, st: st, opts: opts, prefix: opts.Prefix, counts: counts,
+		scanner: newLeaseScanner(st, opts.Prefix, plan, counts),
+		grain:   make([]int, len(counts)),
+		target:  make([]TrialRange, len(counts)),
 	}
 	for i, c := range counts {
 		r.grain[i] = grainSize(c, opts.GrainsPerSize)
@@ -629,7 +636,6 @@ func RunLeased(ctx context.Context, spec Spec, st Store, opts LeaseOptions) (Lea
 	sort.SliceStable(r.order, func(a, b int) bool {
 		return plan.Sizes[r.order[a]] > plan.Sizes[r.order[b]]
 	})
-	r.scanner = newLeaseScanner(st, r.prefix, r.sum, counts, r.weights)
 
 	defer st.Delete(leaseKey(r.prefix, opts.Worker))
 	if err = r.loop(ctx); err != nil {
@@ -830,7 +836,7 @@ func (r *leaseRunner) chooseClaim(sc *scanState, expired map[string]bool, idle i
 // a completion per grain, heartbeat the lease, and cede any tail a
 // higher-Seq thief has taken.
 func (r *leaseRunner) executeLease(ctx context.Context, b Block, seq int64) error {
-	l := Lease{PlanSum: r.sum, Worker: r.opts.Worker,
+	l := Lease{PlanSum: r.scanner.sum, Worker: r.opts.Worker,
 		SizeIdx: b.SizeIdx, T0: b.T0, T1: b.T1, Next: b.T0, Seq: seq}
 	r.putLease(&l) // advisory: a failed write only hides the claim, never corrupts
 	g := r.grain[b.SizeIdx]
@@ -845,8 +851,8 @@ func (r *leaseRunner) executeLease(ctx context.Context, b Block, seq int64) erro
 		gb := Block{SizeIdx: b.SizeIdx, T0: l.Next, T1: t1}
 		key := completionKey(r.prefix, gb)
 		if data, err := r.st.Get(key); err == nil {
-			if _, derr := DecodeCompletion(bytes.NewReader(data)); derr == nil {
-				// First write wins: a valid record is never overwritten.
+			if c, derr := DecodeCompletion(bytes.NewReader(data)); derr == nil && r.scanner.accepts(c) {
+				// First write wins: an accepted record is never overwritten.
 				r.stats.Duplicates++
 				r.advance(&l, t1)
 				continue
@@ -859,8 +865,8 @@ func (r *leaseRunner) executeLease(ctx context.Context, b Block, seq int64) erro
 		if err != nil {
 			return err
 		}
-		comp := &Completion{PlanSum: r.sum, Worker: r.opts.Worker, Block: gb, Stats: stats}
-		if w := r.weights[gb.SizeIdx]; w > 1 {
+		comp := &Completion{PlanSum: r.scanner.sum, Worker: r.opts.Worker, Block: gb, Stats: stats}
+		if w := r.scanner.weights[gb.SizeIdx]; w > 1 {
 			comp.Weight = int64(w)
 		}
 		var buf bytes.Buffer
@@ -904,7 +910,7 @@ func (r *leaseRunner) advance(l *Lease, next int) {
 				continue
 			}
 			o, derr := DecodeLease(bytes.NewReader(data))
-			if derr != nil || o.PlanSum != r.sum || o.SizeIdx != l.SizeIdx || o.Seq <= l.Seq {
+			if derr != nil || o.PlanSum != r.scanner.sum || o.SizeIdx != l.SizeIdx || o.Seq <= l.Seq {
 				continue
 			}
 			// A higher-Seq claim overlapping our remainder wins it.
@@ -934,7 +940,6 @@ func (r *leaseRunner) putLease(l *Lease) {
 // cache, so repeated grains at one size share their BFS layers.
 func (r *leaseRunner) runGrain(ctx context.Context, b Block) (SizeStats, error) {
 	s := r.spec
-	s.Shard = Shard{}
 	done := make([][]TrialRange, len(r.counts))
 	for j, c := range r.counts {
 		if j != b.SizeIdx {
@@ -1020,7 +1025,7 @@ func LeaseProgress(st Store, prefix string, plan Plan) (*Progress, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc, err := newLeaseScanner(st, prefix, planSum(plan), counts, planWeights(plan)).scan()
+	sc, err := newLeaseScanner(st, prefix, plan, counts).scan()
 	if err != nil {
 		return nil, err
 	}
@@ -1057,7 +1062,7 @@ func CollectLeased(st Store, prefix string, plan Plan) (*Result, error) {
 			return nil, fmt.Errorf("sweep: lease run %q holds a different plan", prefix)
 		}
 	}
-	sum := planSum(plan)
+	filter := newLeaseScanner(st, prefix, plan, counts)
 	names, err := st.List(prefix + "/done/")
 	if err != nil {
 		return nil, err
@@ -1075,12 +1080,7 @@ func CollectLeased(st Store, prefix string, plan Plan) (*Result, error) {
 			continue
 		}
 		c, derr := DecodeCompletion(bytes.NewReader(data))
-		if derr != nil {
-			continue
-		}
-		if c.PlanSum != sum || c.Block.SizeIdx >= len(counts) ||
-			c.Block.T1 > counts[c.Block.SizeIdx] || c.Stats.N != plan.Sizes[c.Block.SizeIdx] ||
-			normWeight(c.Weight) != int64(plan.Weight(c.Block.SizeIdx)) {
+		if derr != nil || !filter.accepts(c) {
 			continue
 		}
 		bySize[c.Block.SizeIdx] = append(bySize[c.Block.SizeIdx], keyed{c: c, key: name})
@@ -1096,10 +1096,9 @@ func CollectLeased(st Store, prefix string, plan Plan) (*Result, error) {
 			}
 			return comps[a].c.Block.T1 < comps[b].c.Block.T1
 		})
-		lo, hi := plan.Shard.Range(counts[i])
 		var missing []TrialRange
 		var prev TrialRange
-		cur := lo
+		cur := 0
 		for _, kc := range comps {
 			c := kc.c
 			if c.Block.T0 < cur {
@@ -1112,8 +1111,8 @@ func CollectLeased(st Store, prefix string, plan Plan) (*Result, error) {
 			prev = TrialRange{T0: c.Block.T0, T1: c.Block.T1}
 			cur = c.Block.T1
 		}
-		if cur < hi {
-			missing = append(missing, TrialRange{T0: cur, T1: hi})
+		if cur < counts[i] {
+			missing = append(missing, TrialRange{T0: cur, T1: counts[i]})
 		}
 		if len(missing) > 0 {
 			return nil, &IncompleteError{N: n, Missing: missing, Prefix: prefix}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -205,7 +206,6 @@ func TestRunLeasedValidation(t *testing.T) {
 		{"bad worker name", base, st, LeaseOptions{Worker: "a/b c"}},
 		{"bad prefix", base, st, LeaseOptions{Worker: "w", Prefix: "../up"}},
 		{"bad static shard", base, st, LeaseOptions{Worker: "w", Static: Shard{Index: 3, Count: 2}}},
-		{"spec shard set", func() Spec { s := base; s.Shard = Shard{Index: 0, Count: 2}; return s }(), st, LeaseOptions{Worker: "w"}},
 		{"spec done set", func() Spec { s := base; s.Done = [][]TrialRange{{{T0: 0, T1: 1}}}; return s }(), st, LeaseOptions{Worker: "w"}},
 		{"spec onblock set", func() Spec { s := base; s.OnBlock = func(Block, *SizeStats) {}; return s }(), st, LeaseOptions{Worker: "w"}},
 	}
@@ -322,6 +322,119 @@ func TestLeasedTornWritesRecovered(t *testing.T) {
 	}
 	if stats.Grains == 0 {
 		t.Errorf("no grains executed: %+v", stats)
+	}
+}
+
+// A decodable completion the run does not accept (another plan's, or an
+// aggregate of another size) must not block its grain. The executor and
+// the scan judge it by one predicate, so the executor re-runs the grain and
+// overwrites the record instead of skipping it while the scan keeps the
+// grain uncovered, which made the executor claim the same grain forever.
+// The deadline turns that livelock into a failure.
+func TestLeasedForeignCompletionOverwritten(t *testing.T) {
+	spec := cycleSpec(21, []int{8}, 12, 1)
+	want, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A genuine record for grain [0,3) to forge from.
+	src := NewMemStore()
+	if _, err := RunLeased(context.Background(), spec, src, LeaseOptions{Worker: "src", GrainsPerSize: 4}); err != nil {
+		t.Fatal(err)
+	}
+	genuine, err := src.Get("leaserun/done/0-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		forge func(c *Completion)
+	}{
+		{"foreign plan", func(c *Completion) { c.PlanSum++ }},
+		{"foreign size", func(c *Completion) { c.Stats.N++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := DecodeCompletion(bytes.NewReader(genuine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.forge(c)
+			var buf bytes.Buffer
+			if err := EncodeCompletion(&buf, c); err != nil {
+				t.Fatal(err)
+			}
+			st := NewMemStore()
+			if err := st.Put("leaserun/done/0-0", buf.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			opts := LeaseOptions{Worker: "w", GrainsPerSize: 4, Poll: time.Millisecond}
+			if _, err := RunLeased(ctx, spec, st, opts); err != nil {
+				t.Fatalf("RunLeased: %v", err)
+			}
+			got, err := CollectLeased(st, "leaserun", mustPlanOf(spec))
+			if err != nil {
+				t.Fatalf("CollectLeased: %v", err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("aggregates differ after overwriting the forged record\nwant: %+v\ngot:  %+v", want, got)
+			}
+		})
+	}
+}
+
+// planSum is part of the store format: every completion and lease carries
+// it, so a store resumes only if its plan still hashes to the same value.
+// These are the fingerprints stores written by earlier builds hold.
+func TestPlanSumGolden(t *testing.T) {
+	for _, tc := range []struct {
+		plan Plan
+		want uint64
+	}{
+		{Plan{Seed: 1, Sizes: []int{16, 32}, Trials: 3}, 0x9ae58663b588f4ac},
+		{Plan{Seed: 1, Sizes: []int{8}, Exhaustive: true, Quotient: true, Orders: []uint64{16}}, 0xd5866ea78c08a061},
+	} {
+		if got := planSum(tc.plan); got != tc.want {
+			t.Errorf("planSum(%+v) = %#x, want %#x", tc.plan, got, tc.want)
+		}
+	}
+}
+
+// A plan record written when plans still carried a "shard" member keeps
+// its run: executors join it without rewriting it, and the collect
+// accepts it.
+func TestLeasePlanRecordWithShardJoined(t *testing.T) {
+	spec := cycleSpec(5, []int{8, 12}, 6, 1)
+	want, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := json.RawMessage(`{"plan":{"seed":5,"sizes":[8,12],"trials":6,"shard":{"index":0,"count":0}},"grains":4}`)
+	var buf bytes.Buffer
+	if err := EncodeFile(&buf, FormatLeasePlan, old); err != nil {
+		t.Fatal(err)
+	}
+	st := NewMemStore()
+	key := leasePlanKey("leaserun")
+	if err := st.Put(key, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ensureLeasePlan(st, "leaserun", &leasePlan{Plan: mustPlanOf(spec), Grains: 4}); err != nil {
+		t.Fatalf("ensureLeasePlan: %v", err)
+	}
+	if _, err := RunLeased(context.Background(), spec, st, LeaseOptions{Worker: "w", GrainsPerSize: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := st.Get(key); err != nil || !bytes.Equal(data, buf.Bytes()) {
+		t.Errorf("plan record rewritten or lost (err %v)", err)
+	}
+	got, err := CollectLeased(st, "leaserun", mustPlanOf(spec))
+	if err != nil {
+		t.Fatalf("CollectLeased: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("aggregates differ\nwant: %+v\ngot:  %+v", want, got)
 	}
 }
 

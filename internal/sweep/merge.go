@@ -16,7 +16,7 @@ import (
 // finish merges the worker shards into the final Result and classifies how
 // the sweep ended: clean, failed, or cancelled with partial aggregates.
 // total is the number of WEIGHTED trials the plan asked for (after the
-// shard and Done carve-outs) — under a quotient each planned
+// Done carve-out) — under a quotient each planned
 // representative counts its whole orbit, matching what SizeStats.Trials
 // accumulates.
 func finish(ctx context.Context, spec Spec, total int, ws []worker, firstErr error) (*Result, error) {
@@ -41,8 +41,9 @@ func finish(ctx context.Context, spec Spec, total int, ws []worker, firstErr err
 	return res, nil
 }
 
-// MergeResults folds any number of partial Results — static shards, a
-// prefix plus a resumed run — into one. All inputs must agree on the
+// MergeResults folds any number of partial Results — runs whose Spec.Done
+// complements partition the trial space, a prefix plus a resumed run —
+// into one. All inputs must agree on the
 // size list (length and per-slot N); inputs covering disjoint trial sets
 // merge to exactly the aggregate a single process computes over their
 // union, in any argument order, because every fold is commutative and

@@ -57,12 +57,13 @@ func TestShardRangePartition(t *testing.T) {
 	}
 }
 
-// TestShardValidation rejects malformed shards at Run time.
+// TestShardValidation checks that a malformed static shard is refused
+// before any grain runs: Static is the only way to hand the engine a
+// shard, and it shares Shard.validate with the -shard flag.
 func TestShardValidation(t *testing.T) {
 	for _, s := range []Shard{{Index: -1, Count: 2}, {Index: 2, Count: 2}, {Index: 0, Count: -1}, {Index: 1, Count: 0}} {
 		spec := cycleSpec(1, []int{8}, 2, 1)
-		spec.Shard = s
-		if _, err := Run(context.Background(), spec); err == nil {
+		if _, err := RunLeased(context.Background(), spec, NewMemStore(), LeaseOptions{Worker: "w", Static: s}); err == nil {
 			t.Errorf("shard %+v accepted", s)
 		}
 	}
@@ -103,53 +104,51 @@ func TestSubtractRanges(t *testing.T) {
 	}
 }
 
-// TestPlanBlocksCoverage: for any shard/done carve-out, the planned blocks
-// cover exactly the runnable coordinates, each exactly once, in ascending
-// order within every size.
+// TestPlanBlocksCoverage: for any Done carve-out, the planned blocks cover
+// exactly the runnable coordinates, each exactly once, in ascending order
+// within every size.
 func TestPlanBlocksCoverage(t *testing.T) {
 	counts := []int{40, 17, 100}
 	order := []int{2, 0, 1}
-	done := [][]TrialRange{{{3, 9}}, nil, {{0, 50}, {90, 95}}}
-	for _, count := range []int{1, 2, 3} {
-		for shardIdx := 0; shardIdx < count; shardIdx++ {
-			shard := Shard{Index: shardIdx, Count: count}
-			if count == 1 {
-				shard = Shard{}
+	for _, done := range [][][]TrialRange{
+		nil,
+		{{{3, 9}}, nil, {{0, 50}, {90, 95}}},
+		{{{0, 40}}, {{0, 5}, {6, 17}}, {{1, 99}}},
+	} {
+		blocks := planBlocks(order, counts, done, 4)
+		seen := make([]map[int]bool, len(counts))
+		last := make([]int, len(counts))
+		for i := range seen {
+			seen[i] = make(map[int]bool)
+			last[i] = -1
+		}
+		for _, b := range blocks {
+			if b.T0 >= b.T1 {
+				t.Fatalf("empty block %+v", b)
 			}
-			blocks := planBlocks(order, counts, shard, done, 4)
-			seen := make([]map[int]bool, len(counts))
-			last := make([]int, len(counts))
-			for i := range seen {
-				seen[i] = make(map[int]bool)
-				last[i] = -1
+			if b.T0 < last[b.SizeIdx] {
+				t.Fatalf("blocks out of ascending order at %+v", b)
 			}
-			for _, b := range blocks {
-				if b.T0 >= b.T1 {
-					t.Fatalf("empty block %+v", b)
+			last[b.SizeIdx] = b.T1
+			for tr := b.T0; tr < b.T1; tr++ {
+				if seen[b.SizeIdx][tr] {
+					t.Fatalf("trial (%d,%d) planned twice", b.SizeIdx, tr)
 				}
-				if b.T0 < last[b.SizeIdx] {
-					t.Fatalf("blocks out of ascending order at %+v", b)
-				}
-				last[b.SizeIdx] = b.T1
-				for tr := b.T0; tr < b.T1; tr++ {
-					if seen[b.SizeIdx][tr] {
-						t.Fatalf("trial (%d,%d) planned twice", b.SizeIdx, tr)
-					}
-					seen[b.SizeIdx][tr] = true
-				}
+				seen[b.SizeIdx][tr] = true
 			}
-			for i, c := range counts {
-				lo, hi := shard.Range(c)
-				for tr := lo; tr < hi; tr++ {
-					inDone := false
+		}
+		for i, c := range counts {
+			for tr := 0; tr < c; tr++ {
+				inDone := false
+				if done != nil {
 					for _, d := range done[i] {
 						if tr >= d.T0 && tr < d.T1 {
 							inDone = true
 						}
 					}
-					if seen[i][tr] == inDone {
-						t.Fatalf("shard %d/%d size %d trial %d: planned=%v done=%v", shardIdx, count, i, tr, seen[i][tr], inDone)
-					}
+				}
+				if seen[i][tr] == inDone {
+					t.Fatalf("done %v size %d trial %d: planned=%v done=%v", done, i, tr, seen[i][tr], inDone)
 				}
 			}
 		}
@@ -176,11 +175,6 @@ func TestPlanOfEqual(t *testing.T) {
 	q.Sizes = []int{8, 17}
 	if p.Equal(q) {
 		t.Error("plans with different sizes reported equal")
-	}
-	q = mustPlanOf(spec)
-	q.Shard = Shard{Index: 0, Count: 2}
-	if p.Equal(q) {
-		t.Error("plans with different shards reported equal")
 	}
 }
 

@@ -99,9 +99,9 @@ func TestSoakQuotientFullFoldN10(t *testing.T) {
 	}
 }
 
-// TestQuotientShardMerge: slicing the canonical-rank space into static
-// shards and merging the partials reproduces the unsharded (and hence the
-// full-space) bytes, exactly like sharding the full rank space does.
+// TestQuotientShardMerge: slicing the canonical-rank space into m Done
+// complements and merging the partials reproduces the unsliced (and hence
+// the full-space) bytes, exactly like slicing the full rank space does.
 func TestQuotientShardMerge(t *testing.T) {
 	mk := func(n int) (graph.Graph, error) { return graph.NewCycle(n) }
 	sizes := []int{6, 7}
@@ -113,9 +113,9 @@ func TestQuotientShardMerge(t *testing.T) {
 	parts := make([]*Result, m)
 	for i := 0; i < m; i++ {
 		spec := quotientSpec(sizes, 2, true, mk)
-		spec.Shard = Shard{Index: i, Count: m}
+		spec.Done = sliceDone(t, spec, Shard{Index: i, Count: m})
 		if parts[i], err = Run(context.Background(), spec); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
+			t.Fatalf("slice %d: %v", i, err)
 		}
 	}
 	merged, err := MergeResults(parts...)

@@ -7,15 +7,36 @@ import (
 	"testing"
 )
 
-// runShards executes the spec as m independent shard runs — each round-
-// tripped through the binary codec to simulate the process boundary — and
-// merges them with MergeResults.
+// sliceDone is the Spec.Done that restricts a run of spec to slice sh of
+// every size's trial space: the complement of sh.Range in [0, count).
+func sliceDone(t *testing.T, spec Spec, sh Shard) [][]TrialRange {
+	t.Helper()
+	counts, err := mustPlanOf(spec).Counts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make([][]TrialRange, len(counts))
+	for i, c := range counts {
+		lo, hi := sh.Range(c)
+		if lo > 0 {
+			done[i] = append(done[i], TrialRange{T0: 0, T1: lo})
+		}
+		if hi < c {
+			done[i] = append(done[i], TrialRange{T0: hi, T1: c})
+		}
+	}
+	return done
+}
+
+// runShards executes the spec as m independent runs, run i restricted by
+// Spec.Done to slice i of m, each round-tripped through the binary codec
+// to simulate the process boundary, and merges them with MergeResults.
 func runShards(t *testing.T, spec Spec, m int, workersOf func(i int) int) *Result {
 	t.Helper()
 	parts := make([]*Result, m)
 	for i := 0; i < m; i++ {
 		s := spec
-		s.Shard = Shard{Index: i, Count: m}
+		s.Done = sliceDone(t, spec, Shard{Index: i, Count: m})
 		s.Workers = workersOf(i)
 		res, err := Run(context.Background(), s)
 		if err != nil {
@@ -38,9 +59,9 @@ func runShards(t *testing.T, spec Spec, m int, workersOf func(i int) int) *Resul
 	return merged
 }
 
-// TestShardMergeIdenticalSampled is the tentpole acceptance at the engine
-// level: m shard processes + merge are byte-identical to a single-process
-// sampled run, for m in {1, 2, 4}, across shard-local worker counts.
+// TestShardMergeIdenticalSampled is the partition acceptance at the engine
+// level: m slice processes + merge are byte-identical to a single-process
+// sampled run, for m in {1, 2, 4}, across slice-local worker counts.
 func TestShardMergeIdenticalSampled(t *testing.T) {
 	spec := cycleSpec(42, []int{16, 33, 64}, 9, 1)
 	want, err := Run(context.Background(), spec)
@@ -71,8 +92,8 @@ func TestShardMergeIdenticalExhaustive(t *testing.T) {
 	}
 }
 
-// TestShardMergeMoreShardsThanTrials: degenerate slicing — more shards
-// than trials leaves some shards empty; the merge must still be exact.
+// TestShardMergeMoreShardsThanTrials: degenerate slicing — more slices
+// than trials leaves some runs empty; the merge must still be exact.
 func TestShardMergeMoreShardsThanTrials(t *testing.T) {
 	spec := cycleSpec(3, []int{8}, 2, 1)
 	want, err := Run(context.Background(), spec)
@@ -102,7 +123,7 @@ func TestMergeResultsValidation(t *testing.T) {
 }
 
 // TestMergeResultsDoesNotMutateInputs: merging must deep-copy histograms,
-// not alias the shard files' slices.
+// not alias the inputs' slices.
 func TestMergeResultsDoesNotMutateInputs(t *testing.T) {
 	spec := cycleSpec(11, []int{12}, 4, 1)
 	res, err := Run(context.Background(), spec)

@@ -9,18 +9,18 @@
 // loop all of them used to hand-roll, and adds what a full-size table needs.
 // It is organised as three explicit layers:
 //
-//   - PLAN (plan.go): a serializable description of the work — seed, sizes,
-//     trial space, and a contiguous shard range. Sampled trial indices and
-//     exhaustive permutation ranks partition identically, so a Plan means
-//     the same thing to every process that holds it.
-//   - EXECUTE (execute.go, this file's Run): the worker pool running one
-//     plan shard. Each worker owns a local.Runner, so ball builders, label
-//     slices and result buffers are recycled across every trial the worker
-//     executes — steady-state sweeps allocate almost nothing. Trials are
-//     chunked into contiguous blocks (Spec.Workers bounds the pool, default
-//     GOMAXPROCS) and fold into O(sizes)-memory SizeStats — integer totals,
-//     extremal-trial summaries, pooled radius histograms — never into
-//     per-trial slices.
+//   - PLAN (plan.go): a serializable description of the work — seed, sizes
+//     and trial space. Sampled trial indices and exhaustive permutation
+//     ranks partition identically, so a Plan means the same thing to every
+//     process that holds it.
+//   - EXECUTE (execute.go, this file's Run): the worker pool running the
+//     plan's trials minus Spec.Done. Each worker owns a local.Runner, so
+//     ball builders, label slices and result buffers are recycled across
+//     every trial the worker executes — steady-state sweeps allocate
+//     almost nothing. Trials are chunked into contiguous blocks
+//     (Spec.Workers bounds the pool, default GOMAXPROCS) and fold into
+//     O(sizes)-memory SizeStats — integer totals, extremal-trial
+//     summaries, pooled radius histograms — never into per-trial slices.
 //   - MERGE (merge.go, codec.go, store.go, lease.go): exported
 //     deterministic aggregate merging plus a stable versioned codec, so
 //     partial aggregates survive process boundaries: per-grain completion
@@ -30,10 +30,10 @@
 // Determinism is the package contract: each (size, trial) derives its own
 // rng seed from the sweep seed and its coordinates alone, and all folds
 // commute (ties broken by trial index), so a given seed produces
-// bit-identical results at any worker count, across any shard partition,
-// and through any kill/resume sequence. Cancellation is prompt: the context
-// is polled between vertices, trials and blocks; a cancelled Run returns
-// the partial aggregates and a wrapped context error.
+// bit-identical results at any worker count, across any partition of the
+// trial space, and through any kill/resume sequence. Cancellation is
+// prompt: the context is polled between vertices, trials and blocks; a
+// cancelled Run returns the partial aggregates and a wrapped context error.
 package sweep
 
 import (
@@ -48,7 +48,7 @@ import (
 	"repro/internal/local"
 )
 
-// Spec describes one sharded permutation sweep.
+// Spec describes one permutation sweep.
 type Spec struct {
 	// Seed drives all randomness. Equal seeds reproduce results exactly,
 	// independent of Workers.
@@ -83,18 +83,13 @@ type Spec struct {
 	// Graphs that do not declare a group fail with
 	// *QuotientUnsupportedError, mirroring the implicit backend's decline.
 	Quotient bool
-	// Shard restricts the run to the contiguous slice Shard.Index of
-	// Shard.Count of every size's trial space (sampled indices or
-	// exhaustive ranks alike). The zero value runs everything. Partial
-	// aggregates from all Shard.Count processes merge (MergeResults) to
-	// bytes identical to an unsharded run.
-	Shard Shard
-	// Done lists, per size index, ascending non-overlapping trial ranges a
-	// previous run already executed: planned blocks cover the shard's
-	// complement of Done, and the returned aggregates contain only the
-	// newly executed trials — merge them with the earlier run's to recover
-	// the full shard. Empty means nothing is done. Lease grains run
-	// through it.
+	// Done lists, per size index, ascending non-overlapping trial ranges
+	// this run skips: planned blocks cover the complement of Done in every
+	// size's trial space (sampled indices or exhaustive ranks alike), and
+	// the returned aggregates contain only the executed trials. Partial
+	// aggregates of runs whose complements partition the space merge
+	// (MergeResults) to the bytes of one run over all of it. Empty means
+	// nothing is skipped. Lease grains run through it.
 	Done [][]TrialRange
 	// OnBlock, when set, observes every fully completed block together with
 	// the block's own partial aggregate.
@@ -276,9 +271,6 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, &SpecConflictError{Fields: []string{"Quotient", "Exhaustive"},
 			Reason: "Quotient compresses the exhaustive rank space; set Exhaustive too"}
 	}
-	if err := spec.Shard.validate(); err != nil {
-		return nil, err
-	}
 	if spec.StreamIDs {
 		if spec.Assign != nil {
 			return nil, &SpecConflictError{Fields: []string{"StreamIDs", "Assign"},
@@ -315,8 +307,8 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	// Per-size trial counts of the GLOBAL space: the sampled count
 	// everywhere, the full n! rank space under Exhaustive, or the
 	// canonical n!/|Aut| rank space under Quotient — with weights[i]
-	// restoring the full space's mass through the weighted fold. The shard
-	// range and the Done complement are carved out of these below.
+	// restoring the full space's mass through the weighted fold. The Done
+	// complement is carved out of these below.
 	trials := spec.Trials
 	if trials <= 0 {
 		trials = 1
@@ -384,7 +376,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 			order[k], order[k-1] = order[k-1], order[k]
 		}
 	}
-	blocks := planBlocks(order, counts, spec.Shard, spec.Done, workers)
+	blocks := planBlocks(order, counts, spec.Done, workers)
 	planned := plannedTrials(blocks)
 	if workers > planned && planned > 0 {
 		workers = planned
