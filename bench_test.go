@@ -253,12 +253,13 @@ func BenchmarkExactCycleSequential(b *testing.B) {
 }
 
 // BenchmarkExactCycleSharded runs the same enumeration through the sweep
-// engine — rank-block sharding over all cores, shared atlas, flat pruning
-// kernel — including the closed-form cross-check. NoQuotient pins the full
-// n! fold: this row is the baseline the quotient pair below is measured
-// against. Single-core the engine costs ~1.5× the closed-form fold per
-// permutation, so the speedup is ~cores/1.5 (≳3× from 5 cores up; run on a
-// multicore machine to see it).
+// engine — rank-block sharding over all cores, the ring branch of the flat
+// pruning kernel (no ball source is read) — including the closed-form
+// cross-check. NoQuotient pins the full n! fold: this row is the baseline
+// the quotient pair below is measured against. Single-core the engine
+// costs 1.0–1.5× the closed-form fold per permutation (2-core x86-64 host,
+// Go 1.24; the skeleton kernel cost 1.7–2.2×), so the speedup approaches
+// the core count divided by that factor.
 func BenchmarkExactCycleSharded(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

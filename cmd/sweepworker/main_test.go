@@ -71,9 +71,11 @@ func TestUnreachableCoordinatorExitsFour(t *testing.T) {
 	}
 }
 
-// chaosConfig sustains roughly a second of compute single-process, so the
-// distributed run is long enough to SIGKILL and partition mid-flight.
-var chaosConfig = experiments.Config{Seed: 23, Sizes: []int{1024, 2048}, Trials: 400}
+// chaosConfig sustains roughly a second of compute single-process (avgbench
+// -e E6 -sizes 1024,2048 -trials 12000 -seed 23: 1.0–1.1 s on a 2-core
+// x86-64 host), so the distributed run is long enough to SIGKILL and
+// partition mid-flight.
+var chaosConfig = experiments.Config{Seed: 23, Sizes: []int{1024, 2048}, Trials: 12000}
 
 // expectedBytes renders what the coordinator must serve — the avgbench
 // CLI bytes for the config.

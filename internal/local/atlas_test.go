@@ -122,20 +122,21 @@ func TestRunnerAtlasMatchesBuilderColouring(t *testing.T) {
 
 // TestRunnerAtlasCapFallback pins the degraded mode: with an atlas too
 // small for the graph's balls, the Runner transparently reruns capped
-// vertices on the builder path and results stay identical.
+// vertices on the builder path and results stay identical. The graph is a
+// path because Pruning's ring branch never reads the atlas of a cycle.
 func TestRunnerAtlasCapFallback(t *testing.T) {
-	c := graph.MustCycle(96)
-	atlas := graph.NewBallAtlas(c, 2048) // forces mid-sweep exhaustion
+	p := graph.MustPath(96)
+	atlas := graph.NewBallAtlas(p, 2048) // forces mid-sweep exhaustion
 	runner := local.NewRunner()
 	runner.SetAtlas(atlas)
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 4; trial++ {
 		a := ids.Random(96, rng)
-		want, err := local.RunView(c, a, largestid.Pruning{})
+		want, err := local.RunView(p, a, largestid.Pruning{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := runner.Run(c, a, largestid.Pruning{})
+		got, err := runner.Run(p, a, largestid.Pruning{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +145,7 @@ func TestRunnerAtlasCapFallback(t *testing.T) {
 		}
 	}
 	if !atlas.Exhausted() {
-		t.Fatal("2 KiB atlas over a 96-cycle sweep should have exhausted")
+		t.Fatal("2 KiB atlas over a 96-path sweep should have exhausted")
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 
 // Kernel is the optional flat fast path of the view engine. A ViewAlgorithm
 // may additionally implement it to compute every vertex's output and
-// stopping radius in one pass over a shared atlas skeleton — no View
-// objects, no per-vertex relabel scratch, no interface call per radius
-// increment. Decisions like largest-ID pruning reduce to argmax scans over
-// atlas prefix windows, so the kernel form is a tight loop over the
-// skeleton's flat arrays.
+// stopping radius in one pass — no View objects, no per-vertex relabel
+// scratch, no interface call per radius increment. Decisions like
+// largest-ID pruning reduce to argmax scans over atlas prefix windows, so
+// the kernel form is a tight loop over the skeleton's flat arrays; on
+// families with a closed form (the ring) a kernel may skip the skeleton
+// and read the assignment directly.
 //
 // A Runner with an atlas attached detects the interface and dispatches to
 // it; results must be byte-identical to the view path (the engine's
@@ -24,10 +25,12 @@ import (
 type Kernel interface {
 	// DecideAll fills run.Outs and run.Radii for every vertex, marking
 	// vertices it cannot serve (the atlas hit its memory cap mid-growth)
-	// with run.Radii[v] = KernelUnserved; the engine reruns those on the
-	// ball-builder path. ok=false declines the whole graph (e.g. a
-	// ring-only kernel handed a tree) and the engine falls back to the
-	// view path; Outs/Radii may then be left in any state.
+	// with run.Radii[v] = KernelUnserved and counting them in
+	// run.Unserved; the engine reruns those on the ball-builder path, and
+	// skips that rescan when the count is zero. ok=false declines the
+	// whole graph (e.g. a ring-only kernel handed a tree) and the engine
+	// falls back to the view path; Outs/Radii may then be left in any
+	// state.
 	DecideAll(run *KernelRun) (ok bool, err error)
 }
 
@@ -40,12 +43,15 @@ const KernelUnserved = -1
 type KernelRun struct {
 	// Atlas is the ball source of the graph under execution — a shared
 	// *graph.BallAtlas on the materialised path, a per-worker
-	// *graph.ImplicitBalls on the implicit one. Kernels grow it with
-	// Ensure exactly like the view path; a nil snapshot means the source
-	// cannot serve the vertex (memory-capped atlas) and the kernel marks
-	// it KernelUnserved. Snapshots must be re-read after every Ensure and
-	// never retained across centres: implicit sources reuse one scratch
-	// snapshot per centre.
+	// *graph.ImplicitBalls on the implicit one. Its Graph identifies the
+	// family, so a kernel with a closed form for it (the ring kernels of
+	// largestid.Pruning and coloring.Uniform on a graph.Cycle) may decide
+	// from Assign alone and never touch the skeletons. Kernels that do
+	// read them grow the source with Ensure exactly like the view path; a
+	// nil snapshot means the source cannot serve the vertex (memory-capped
+	// atlas) and the kernel marks it KernelUnserved. Snapshots must be
+	// re-read after every Ensure and never retained across centres:
+	// implicit sources reuse one scratch snapshot per centre.
 	Atlas graph.BallSource
 	// Assign is the trial's identifier assignment, indexed by original
 	// vertex name (the atlas skeleton's Verts entries).
@@ -57,11 +63,17 @@ type KernelRun struct {
 	MaxRadius int
 	// Ctx cancels the pass; poll it with Err.
 	Ctx context.Context
+	// Unserved counts the vertices the kernel marked KernelUnserved. The
+	// engine zeroes it before each pass and reruns unserved vertices only
+	// when it is non-zero.
+	Unserved int
 	// Scratch is kernel-owned spill storage the engine preserves across
 	// the Runner's runs: a kernel that needs per-pass working memory (the
 	// ring colouring's segment buffer) takes it with IntScratch instead of
 	// allocating once per trial.
 	Scratch []int
+	// done is Ctx.Done() as resolved by the engine with its config.
+	done <-chan struct{}
 }
 
 // IntScratch returns the run's scratch resized to n ints (contents
@@ -75,12 +87,18 @@ func (kr *KernelRun) IntScratch(n int) []int {
 }
 
 // Err polls the run's context every 256 vertices (keyed by v, mirroring the
-// view path's cadence) and returns its error once cancelled.
+// view path's cadence) and returns its error once cancelled. The poll is a
+// non-blocking receive on Ctx.Done(); Ctx.Err is called only after that
+// channel has closed.
 func (kr *KernelRun) Err(v int) error {
-	if kr.Ctx != nil && v&0xff == 0 {
-		return kr.Ctx.Err()
+	if kr.Ctx == nil || v&0xff != 0 {
+		return nil
 	}
-	return nil
+	done := kr.done
+	if done == nil { // a KernelRun built outside the engine
+		done = kr.Ctx.Done()
+	}
+	return ctxErr(kr.Ctx, done)
 }
 
 // Undecided formats the engine's standard over-cap error, byte-identical to

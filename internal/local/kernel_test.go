@@ -1,12 +1,15 @@
 package local_test
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/algorithms/coloring"
 	"repro/internal/algorithms/largestid"
@@ -65,21 +68,28 @@ func TestKernelMatchesViewPath(t *testing.T) {
 
 // TestKernelCapFallback pins the kernels' degraded mode: an atlas too small
 // for the graph marks vertices unserved mid-pass and the engine reruns
-// exactly those on the builder path, with identical results.
+// exactly those on the builder path, with identical results. Pruning runs
+// on a path: on a cycle its ring branch never reads the atlas.
 func TestKernelCapFallback(t *testing.T) {
-	c := graph.MustCycle(96)
 	rng := rand.New(rand.NewSource(51))
-	for _, alg := range []local.ViewAlgorithm{largestid.Pruning{}, largestid.FullView{}} {
-		atlas := graph.NewBallAtlas(c, 2048) // forces mid-pass exhaustion
+	for _, tc := range []struct {
+		g   graph.Graph
+		alg local.ViewAlgorithm
+	}{
+		{graph.MustPath(96), largestid.Pruning{}},
+		{graph.MustCycle(96), largestid.FullView{}},
+	} {
+		alg, n := tc.alg, tc.g.N()
+		atlas := graph.NewBallAtlas(tc.g, 2048) // forces mid-pass exhaustion
 		runner := local.NewRunner()
 		runner.SetAtlas(atlas)
 		for trial := 0; trial < 4; trial++ {
-			a := ids.Random(96, rng)
-			want, err := local.RunView(c, a, alg)
+			a := ids.Random(n, rng)
+			want, err := local.RunView(tc.g, a, alg)
 			if err != nil {
 				t.Fatalf("%s builder: %v", alg.Name(), err)
 			}
-			got, err := runner.Run(c, a, alg)
+			got, err := runner.Run(tc.g, a, alg)
 			if err != nil {
 				t.Fatalf("%s capped kernel: %v", alg.Name(), err)
 			}
@@ -94,23 +104,159 @@ func TestKernelCapFallback(t *testing.T) {
 }
 
 // TestKernelMaxRadiusError demands error parity: a vertex undecided at the
-// safety cap fails identically on the kernel and view paths.
+// safety cap fails identically on the kernel and view paths. The engine
+// never runs with a cap below 1 (WithMaxRadius ignores it), so the cap-0
+// Pruning row calls DecideAll directly and compares the ring branch with
+// the skeleton loop, which both fail at radius 0.
 func TestKernelMaxRadiusError(t *testing.T) {
 	c := graph.MustCycle(32)
 	a := ids.Identity(32)
 	atlas := graph.NewBallAtlas(c, 0)
 	runner := local.NewRunner()
 	runner.SetAtlas(atlas)
-	_, kerr := runner.Run(c, a, largestid.FullView{}, local.WithMaxRadius(2))
-	_, verr := runner.Run(c, a, largestid.FullView{}, local.WithMaxRadius(2), local.WithoutKernels())
-	if kerr == nil || verr == nil {
-		t.Fatalf("expected undecided errors, kernel=%v view=%v", kerr, verr)
+	for _, tc := range []struct {
+		alg       local.ViewAlgorithm
+		maxRadius int
+	}{
+		{largestid.FullView{}, 2},
+		{largestid.Pruning{}, 0},
+		{largestid.Pruning{}, 1},
+		{largestid.Pruning{}, 2},
+	} {
+		var kerr, verr error
+		if tc.maxRadius == 0 {
+			kerr = decideAllErr(t, atlas, a, tc.maxRadius)
+			verr = decideAllErr(t, graph.NewBallAtlas(plainRing{c}, 0), a, tc.maxRadius)
+		} else {
+			_, kerr = runner.Run(c, a, tc.alg, local.WithMaxRadius(tc.maxRadius))
+			_, verr = runner.Run(c, a, tc.alg, local.WithMaxRadius(tc.maxRadius), local.WithoutKernels())
+		}
+		if kerr == nil || verr == nil {
+			t.Fatalf("%s cap %d: expected undecided errors, kernel=%v view=%v", tc.alg.Name(), tc.maxRadius, kerr, verr)
+		}
+		if kerr.Error() != verr.Error() {
+			t.Fatalf("%s cap %d: error mismatch:\nkernel: %v\nview:   %v", tc.alg.Name(), tc.maxRadius, kerr, verr)
+		}
+		if want := fmt.Sprintf("after radius %d", tc.maxRadius); !strings.Contains(kerr.Error(), "undecided at vertex") || !strings.HasSuffix(kerr.Error(), want) {
+			t.Fatalf("%s cap %d: unexpected error shape: %v", tc.alg.Name(), tc.maxRadius, kerr)
+		}
 	}
-	if kerr.Error() != verr.Error() {
-		t.Fatalf("error mismatch:\nkernel: %v\nview:   %v", kerr, verr)
+}
+
+// decideAllErr runs Pruning's kernel directly over src with the given cap.
+func decideAllErr(t *testing.T, src graph.BallSource, a ids.Assignment, maxRadius int) error {
+	t.Helper()
+	n := len(a)
+	ok, err := largestid.Pruning{}.DecideAll(&local.KernelRun{
+		Atlas:     src,
+		Assign:    a,
+		Outs:      make([]int, n),
+		Radii:     make([]int, n),
+		MaxRadius: maxRadius,
+	})
+	if !ok {
+		t.Fatal("Pruning kernel declined a graph")
 	}
-	if !strings.Contains(kerr.Error(), "undecided at vertex") {
-		t.Fatalf("unexpected error shape: %v", kerr)
+	return err
+}
+
+// plainRing is a cycle under another type: the engine treats it as an
+// arbitrary graph, so Pruning runs its skeleton loop on it instead of the
+// ring branch.
+type plainRing struct{ graph.Cycle }
+
+// panicSource is a ball source whose Ensure panics, proving a kernel never
+// touched it.
+type panicSource struct{ g graph.Graph }
+
+func (s panicSource) Graph() graph.Graph { return s.g }
+
+func (panicSource) Ensure(int, int) *graph.AtlasBall {
+	panic("ring kernel read the ball source")
+}
+
+// TestPruningRingKernelMatchesViewPath pins Pruning's ring branch to the
+// view path and to its own skeleton loop, outputs and radii, on every odd
+// and even cycle up to n = 40 under random, identity and reversed
+// assignments.
+func TestPruningRingKernelMatchesViewPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for n := 3; n <= 40; n++ {
+		c := graph.MustCycle(n)
+		ring := local.NewRunner()
+		ring.SetAtlas(graph.NewBallAtlas(c, 0))
+		skel := local.NewRunner()
+		skel.SetAtlas(graph.NewBallAtlas(plainRing{c}, 0))
+		for _, a := range []ids.Assignment{ids.Identity(n), ids.Reversed(n), ids.Random(n, rng), ids.Random(n, rng)} {
+			view, err := ring.Run(c, a, largestid.Pruning{}, local.WithoutKernels())
+			if err != nil {
+				t.Fatalf("n=%d view path: %v", n, err)
+			}
+			want := &local.Result{Algorithm: view.Algorithm, Outputs: append([]int(nil), view.Outputs...), Radii: append([]int(nil), view.Radii...)}
+			got, err := ring.Run(c, a, largestid.Pruning{})
+			if err != nil {
+				t.Fatalf("n=%d ring kernel: %v", n, err)
+			}
+			if !sameResult(got, want) {
+				t.Fatalf("n=%d a=%v: ring kernel %v/%v, view path %v/%v", n, a, got.Outputs, got.Radii, want.Outputs, want.Radii)
+			}
+			got, err = skel.Run(plainRing{c}, a, largestid.Pruning{})
+			if err != nil {
+				t.Fatalf("n=%d skeleton kernel: %v", n, err)
+			}
+			if !sameResult(got, want) {
+				t.Fatalf("n=%d a=%v: skeleton kernel %v/%v, view path %v/%v", n, a, got.Outputs, got.Radii, want.Outputs, want.Radii)
+			}
+		}
+	}
+}
+
+// TestPruningRingKernelSkipsSource runs Pruning over a ball source whose
+// Ensure panics: the ring branch decides from the assignment alone.
+func TestPruningRingKernelSkipsSource(t *testing.T) {
+	for _, n := range []int{3, 4, 31, 64} {
+		c := graph.MustCycle(n)
+		runner := local.NewRunner()
+		runner.SetSource(panicSource{c})
+		a := ids.Random(n, rand.New(rand.NewSource(int64(n))))
+		got, err := runner.Run(c, a, largestid.Pruning{})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		want, err := local.RunView(c, a, largestid.Pruning{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(got, want) {
+			t.Fatalf("n=%d: ring kernel differs from builder", n)
+		}
+	}
+}
+
+// TestKernelHonoursContext checks both Pruning branches, run by the engine
+// and called directly, return the context's own error once it is done.
+func TestKernelHonoursContext(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel2 := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel2()
+	for _, ctx := range []context.Context{cancelled, expired} {
+		for _, g := range []graph.Graph{graph.MustCycle(300), graph.MustPath(300)} {
+			runner := local.NewRunner()
+			runner.SetAtlas(graph.NewBallAtlas(g, 0))
+			a := ids.Identity(300)
+			if _, err := runner.Run(g, a, largestid.Pruning{}, local.WithContext(ctx)); !errors.Is(err, ctx.Err()) {
+				t.Fatalf("%T engine run returned %v, want %v", g, err, ctx.Err())
+			}
+			ok, err := largestid.Pruning{}.DecideAll(&local.KernelRun{
+				Atlas: graph.NewBallAtlas(g, 0), Assign: a,
+				Outs: make([]int, 300), Radii: make([]int, 300),
+				MaxRadius: 300, Ctx: ctx,
+			})
+			if !ok || !errors.Is(err, ctx.Err()) {
+				t.Fatalf("%T direct pass returned %v, %v; want true, %v", g, ok, err, ctx.Err())
+			}
+		}
 	}
 }
 

@@ -20,15 +20,18 @@ type config struct {
 	maxRadius int
 	observer  func(Progress)
 	ctx       context.Context
+	// done is ctx.Done(), resolved with the config so the engine polls
+	// cancellation with ctxErr's non-blocking receive instead of ctx.Err,
+	// which on a cancellable context takes the mutex every worker of a
+	// sweep shares.
+	done      <-chan struct{}
 	noKernels bool
 	validated bool
 }
 
 func newConfig(n int, opts []Option) config {
-	cfg := config{maxRadius: defaultMaxRadius(n)}
-	for _, o := range opts {
-		o(&cfg)
-	}
+	var cfg config
+	newConfigInto(&cfg, n, opts)
 	return cfg
 }
 
@@ -39,6 +42,21 @@ func newConfigInto(cfg *config, n int, opts []Option) {
 	*cfg = config{maxRadius: defaultMaxRadius(n)}
 	for _, o := range opts {
 		o(cfg)
+	}
+	if cfg.ctx != nil {
+		cfg.done = cfg.ctx.Done()
+	}
+}
+
+// ctxErr polls a context without locking it: nil while done is open (or
+// nil, for contexts that never cancel), ctx's error once done has closed —
+// the same error ctx.Err would have returned.
+func ctxErr(ctx context.Context, done <-chan struct{}) error {
+	select {
+	case <-done:
+		return ctx.Err()
+	default:
+		return nil
 	}
 }
 

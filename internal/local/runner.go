@@ -141,8 +141,8 @@ func (r *Runner) Run(g graph.Graph, a ids.Assignment, alg ViewAlgorithm, opts ..
 	// materialised atlas; other sources degrade to the ball builder.
 	useAtlas := useSrc && r.atlas != nil
 	for v := 0; v < n; v++ {
-		if cfg.ctx != nil && v&0xff == 0 {
-			if err := cfg.ctx.Err(); err != nil {
+		if v&0xff == 0 {
+			if err := ctxErr(cfg.ctx, cfg.done); err != nil {
 				return nil, err
 			}
 		}
@@ -181,14 +181,15 @@ func (r *Runner) runKernel(g graph.Graph, a ids.Assignment, alg ViewAlgorithm, k
 	r.krun.Outs = r.res.Outputs
 	r.krun.Radii = r.res.Radii
 	r.krun.MaxRadius = cfg.maxRadius
-	r.krun.Ctx = cfg.ctx
+	r.krun.Ctx, r.krun.done = cfg.ctx, cfg.done
+	r.krun.Unserved = 0
 	ok, err := k.DecideAll(&r.krun)
-	if !ok || err != nil {
+	if !ok || err != nil || r.krun.Unserved == 0 {
 		return ok, err
 	}
 	for v, rad := range r.res.Radii {
-		if cfg.ctx != nil && v&0xff == 0 {
-			if err := cfg.ctx.Err(); err != nil {
+		if v&0xff == 0 {
+			if err := ctxErr(cfg.ctx, cfg.done); err != nil {
 				return true, err
 			}
 		}
@@ -296,10 +297,15 @@ func sameOpts(a, b []Option) bool {
 	return len(a) == 0 || &a[0] == &b[0]
 }
 
-// resizeInts returns s with length exactly n, reusing capacity.
+// resizeInts returns s with length exactly n, reusing capacity. A fresh
+// buffer keeps 128 bytes of unused backing array on each side: a sweep
+// worker rewrites its Runner's result buffers every trial, and no other
+// allocation — another worker's, or data every worker reads — may share
+// their cache lines.
 func resizeInts(s []int, n int) []int {
 	if cap(s) < n {
-		return make([]int, n)
+		const pad = 16
+		return make([]int, n+2*pad)[pad : pad+n : pad+n]
 	}
 	return s[:n]
 }

@@ -72,11 +72,9 @@ func RunViewParallel(g graph.Graph, a ids.Assignment, alg ViewAlgorithm, opts ..
 				if v < 0 {
 					return
 				}
-				if cfg.ctx != nil {
-					if err := cfg.ctx.Err(); err != nil {
-						fail(err)
-						return
-					}
+				if err := ctxErr(cfg.ctx, cfg.done); err != nil {
+					fail(err)
+					return
 				}
 				out, r, err := runner.runVertex(g, a, alg, v, cfg)
 				if err != nil {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/ids"
@@ -22,8 +23,15 @@ import (
 // histogram buffer, the reseedable trial rng, the permutation buffer, and
 // this shard's partial aggregates. Everything a trial needs is drawn from
 // here, so steady-state batches allocate nothing.
+//
+// Workers write their runner, rng, histograms, permutation and shard on
+// every trial, so none of those may share a cache line with another
+// worker's state or with data every worker reads: the pads keep adjacent
+// workers of the pool's array apart, and the buffers come from padded
+// (the runner's own result buffers are padded the same way).
 type worker struct {
-	runner *local.Runner
+	_      [cacheLine]byte
+	runner local.Runner
 	hist   []int64
 	shard  []SizeStats
 	opts   []local.Option
@@ -32,7 +40,7 @@ type worker struct {
 	// rand.New(rand.NewSource(seed)) bit for bit — including the Read
 	// buffer, which Rand.Seed resets — without the two allocations per
 	// trial.
-	rng *rand.Rand
+	rng rand.Rand
 	// assign is the caller-owned permutation storage ids.RandomInto (or
 	// ids.StreamInto) fills when Spec.Assign is unset.
 	assign []int
@@ -42,6 +50,22 @@ type worker struct {
 	// like the runner's buffers. Nil outside the implicit backend.
 	impl  *graph.ImplicitBalls
 	implG graph.Graph
+	_     [cacheLine]byte
+}
+
+// cacheLine is an upper bound on the coherence granule of the CPUs the
+// engine runs on (64 bytes on amd64; 128 covers adjacent-line prefetch and
+// the arm64 parts with 128-byte lines).
+const cacheLine = 128
+
+// padded returns a zeroed length-n slice with at least a cache line of
+// unused backing array on each side, so its lines hold no other
+// allocation: small per-worker buffers allocated one after another
+// otherwise land in one size-class span, next to each other.
+func padded[T any](n int) []T {
+	var zero T
+	k := (cacheLine + int(unsafe.Sizeof(zero)) - 1) / int(unsafe.Sizeof(zero))
+	return make([]T, n+2*k)[k : k+n : k+n]
 }
 
 // execute runs the planned blocks across the worker pool and merges the
@@ -79,9 +103,9 @@ func execute(ctx context.Context, spec Spec, graphs []graph.Graph, atlases []*gr
 		}
 	}
 
-	// All workers share one option slice (read-only), one backing array for
-	// their per-size shards, and one worker array: worker setup cost stays a
-	// handful of allocations per worker, not a dozen.
+	// All workers share one option slice (read-only) and one worker array:
+	// worker setup cost stays a handful of allocations per worker, not a
+	// dozen.
 	opts := append(make([]local.Option, 0, 4), local.WithContext(runCtx))
 	if spec.MaxRadius > 0 {
 		opts = append(opts, local.WithMaxRadius(spec.MaxRadius))
@@ -95,9 +119,8 @@ func execute(ctx context.Context, spec Spec, graphs []graph.Graph, atlases []*gr
 		opts = append(opts, local.WithValidatedIDs())
 	}
 	ws := make([]worker, workers)
-	shardBacking := make([]SizeStats, workers*len(spec.Sizes))
 	for wi := range ws {
-		initWorker(&ws[wi], spec, opts, shardBacking[wi*len(spec.Sizes):(wi+1)*len(spec.Sizes)], maxN)
+		initWorker(&ws[wi], spec, opts, maxN)
 	}
 
 	if workers == 1 {
@@ -161,16 +184,14 @@ func execute(ctx context.Context, spec Spec, graphs []graph.Graph, atlases []*gr
 }
 
 // initWorker populates one worker's reusable state. opts is shared
-// (read-only) across workers; shard is the worker's slice of the shared
-// backing array; maxN is the largest instance size the worker may draw
-// permutations for.
-func initWorker(w *worker, spec Spec, opts []local.Option, shard []SizeStats, maxN int) {
-	w.runner = local.NewRunner()
-	w.shard = shard
+// (read-only) across workers; maxN is the largest instance size the worker
+// may draw permutations for.
+func initWorker(w *worker, spec Spec, opts []local.Option, maxN int) {
+	w.shard = padded[SizeStats](len(spec.Sizes))
 	w.opts = opts
-	w.rng = rand.New(rand.NewSource(0)) // reseeded per trial from (size, trial)
+	w.rng = *rand.New(rand.NewSource(0)) // reseeded per trial from (size, trial)
 	if spec.Assign == nil {
-		w.assign = make([]int, maxN)
+		w.assign = padded[int](maxN)
 	}
 }
 
@@ -219,7 +240,7 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 	}
 	n := g.N()
 	if spec.Assign == nil && cap(w.assign) < n {
-		w.assign = make([]int, n)
+		w.assign = padded[int](n)
 	}
 	// The hot path folds trials straight into the worker's shard. Only a
 	// sweep observing blocks (OnBlock set) pays for a block-local aggregate —
@@ -258,10 +279,15 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 			ids.UnrankInto(w.assign[:n], uint64(b.T0))
 		}
 	}
+	// Poll cancellation with a non-blocking receive: ctx.Err on the
+	// multi-worker path's cancelCtx takes a mutex every worker shares.
+	done := ctx.Done()
 	for trial := b.T0; trial < b.T1; trial++ {
-		if ctx.Err() != nil {
+		select {
+		case <-done:
 			w.flushBlock(b, blockStats)
 			return nil
+		default:
 		}
 		var (
 			a   ids.Assignment
@@ -286,7 +312,7 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 			a = ids.Assignment(w.assign[:n])
 		case spec.Assign != nil:
 			w.rng.Seed(trialSeed(spec.Seed, b.SizeIdx, trial))
-			a, err = spec.Assign(b.SizeIdx, n, trial, w.rng)
+			a, err = spec.Assign(b.SizeIdx, n, trial, &w.rng)
 			if err != nil {
 				w.flushBlock(b, blockStats)
 				return fmt.Errorf("sweep: assign size %d trial %d: %w", n, trial, err)
@@ -297,7 +323,7 @@ func (w *worker) runBlock(ctx context.Context, spec Spec, g graph.Graph, atlas *
 			a = ids.StreamInto(w.assign[:n], uint64(trialSeed(spec.Seed, b.SizeIdx, trial)))
 		default:
 			w.rng.Seed(trialSeed(spec.Seed, b.SizeIdx, trial))
-			a = ids.RandomInto(w.assign[:n], w.rng)
+			a = ids.RandomInto(w.assign[:n], &w.rng)
 		}
 		res, err := w.runner.Run(g, a, spec.Alg(n, a), w.opts...)
 		if err != nil {

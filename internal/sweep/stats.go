@@ -292,7 +292,7 @@ func growHist(h []int64, need int) []int64 {
 	if c < need {
 		c = need
 	}
-	nh := make([]int64, need, c)
+	nh := padded[int64](c)[:need] // workers fold into their histograms every trial
 	copy(nh, h)
 	return nh
 }
