@@ -12,9 +12,10 @@
 //	sweepworker -coordinator http://127.0.0.1:8350
 //	sweepworker -coordinator http://coord:8350 -name rack7 -poll 1s
 //
-// Network faults are expected, not exceptional: every store operation
-// retries transient failures under a seeded backoff (idempotent Puts make
-// lost-response retries harmless), polls ride out coordinator outages,
+// Network faults are expected, not exceptional: the lease executor
+// retries every store operation's transient failures up to -retries times
+// under a seeded backoff (idempotent Puts make lost-response retries
+// harmless), polls ride out coordinator outages,
 // and a registration expired by a long partition is simply re-acquired
 // under a fresh identity — the lease protocol reconciles whatever the old
 // identity half-did. The worker gives up only when the coordinator stays
@@ -220,15 +221,14 @@ func (w *worker) execute(ctx context.Context, id string, a *serve.Assignment) er
 		}
 	}()
 
-	// Store-level retries pace faster than the registration backoff: a
-	// flaky network inside a run should cost milliseconds, not seconds.
-	storeRetry := sweep.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Seed: w.backoff.Seed}
-	rs := sweep.NewRetryStore(ctx, w.store, w.retries, storeRetry)
-	stats, runErr := experiments.RunLeasedSweeps(ctx, e, a.Config, rs, sweep.LeaseOptions{
+	// RunLeased retries each store operation up to -retries times. Its
+	// policy paces faster than the registration backoff, since a flaky
+	// network inside a run should cost milliseconds, not seconds; it also
+	// paces the executor's idle rescans.
+	stats, runErr := experiments.RunLeasedSweeps(ctx, e, a.Config, w.store, sweep.LeaseOptions{
 		Worker:        id,
 		GrainsPerSize: a.Grains,
-		Poll:          w.poll,
-		Retry:         storeRetry,
+		Retry:         sweep.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Seed: w.backoff.Seed},
 		StoreRetries:  w.retries,
 	})
 	hbStop()
@@ -254,11 +254,20 @@ func (w *worker) execute(ctx context.Context, id string, a *serve.Assignment) er
 	return runErr
 }
 
-// drain is the SIGTERM path: best-effort deregistration, clean exit.
+// drain is the SIGTERM path: deregistration that rides out transient
+// coordinator faults under the backoff for a few seconds, then a clean
+// exit either way (an undeleted registration expires on its own).
 func (w *worker) drain(id string) error {
 	w.logf("draining: deregistering %s (completed grains stay durable)", id)
-	w.api.deregister(id)
-	return nil
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for attempt := 0; ; attempt++ {
+		err := w.api.deregister(id)
+		if err == nil || errors.Is(err, errReregister) || !sweep.IsRetryable(err) ||
+			w.backoff.Wait(ctx, attempt) != nil {
+			return nil
+		}
+	}
 }
 
 // apiClient speaks the coordinator's worker API. Transport faults come
@@ -348,14 +357,5 @@ func (c *apiClient) done(id, job string, stats sweep.LeaseStats, errStr string) 
 }
 
 func (c *apiClient) deregister(id string) error {
-	req, err := http.NewRequest(http.MethodDelete, c.base+"/workers/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	return nil
+	return c.doJSON(http.MethodDelete, "/workers/"+id, nil, nil)
 }

@@ -12,12 +12,14 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -68,6 +70,112 @@ func TestUnreachableCoordinatorExitsFour(t *testing.T) {
 	var out strings.Builder
 	if code := cli.Report(&out, "sweepworker", err); code != cli.ExitUnreachable {
 		t.Errorf("exit code = %d, want %d\n%s", code, cli.ExitUnreachable, out.String())
+	}
+}
+
+// Each store operation gets exactly -retries retries: a store whose List
+// always answers 503 sees 1 + retries List requests before the assignment
+// fails, not a product of two nested retry budgets; and the run manifest
+// rides out a transient fault under the same policy as the lease records.
+func TestStoreRetryBudget(t *testing.T) {
+	cases := []struct {
+		name    string
+		fail    func(seen int32) bool // seen counts matching requests, this one included
+		match   func(r *http.Request) bool
+		wantErr bool
+		want    int32
+	}{
+		{
+			name:    "list always 503",
+			match:   func(r *http.Request) bool { return strings.Trim(r.URL.Path, "/") == "" },
+			fail:    func(int32) bool { return true },
+			wantErr: true,
+			want:    3, // one try and -retries 2
+		},
+		{
+			name: "manifest get 503 once",
+			match: func(r *http.Request) bool {
+				return r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/manifest")
+			},
+			fail: func(seen int32) bool { return seen == 1 },
+			want: 2, // the fault and its retry
+		},
+		{
+			name: "manifest put 503 once",
+			match: func(r *http.Request) bool {
+				return r.Method == http.MethodPut && strings.HasSuffix(r.URL.Path, "/manifest")
+			},
+			fail: func(seen int32) bool { return seen == 1 },
+			want: 2,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var matched atomic.Int32
+			objects := sweep.StoreHandler(sweep.NewMemStore())
+			mux := http.NewServeMux()
+			mux.Handle("/store/", http.StripPrefix("/store/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if tc.match(r) && tc.fail(matched.Add(1)) {
+					http.Error(w, "store unavailable", http.StatusServiceUnavailable)
+					return
+				}
+				objects.ServeHTTP(w, r)
+			})))
+			mux.HandleFunc("/workers/", func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(http.StatusNoContent)
+			})
+			srv := httptest.NewServer(mux)
+			defer srv.Close()
+
+			w := &worker{
+				api:     newAPIClient(srv.URL, 5*time.Second),
+				store:   sweep.NewHTTPStore(srv.URL + "/store").WithTimeout(5 * time.Second),
+				name:    "budget",
+				poll:    time.Hour,
+				retries: 2,
+				backoff: sweep.Backoff{Base: time.Millisecond, Seed: 1},
+				logf:    t.Logf,
+			}
+			a := &serve.Assignment{Job: "j", Experiment: "E6", Grains: 2,
+				Config: experiments.Config{Seed: 1, Sizes: []int{16}, Trials: 4}}
+			err := w.execute(context.Background(), "budget-1", a)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("execute error = %v, want error %v", err, tc.wantErr)
+			}
+			if got := matched.Load(); got != tc.want {
+				t.Errorf("matching store requests = %d, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// Draining retries a deregistration that hits a transient coordinator
+// fault, so a SIGTERM leaves the registry empty even over a faulty path.
+func TestDrainRetriesDeregister(t *testing.T) {
+	var deletes atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodDelete || r.URL.Path != "/workers/w-1" {
+			http.Error(w, "unexpected request", http.StatusBadRequest)
+			return
+		}
+		if deletes.Add(1) == 1 {
+			http.Error(w, "bad gateway", http.StatusBadGateway)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer srv.Close()
+
+	w := &worker{
+		api:     newAPIClient(srv.URL, 5*time.Second),
+		backoff: sweep.Backoff{Base: time.Millisecond, Seed: 1},
+		logf:    t.Logf,
+	}
+	if err := w.drain("w-1"); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if got := deletes.Load(); got != 2 {
+		t.Errorf("DELETE requests = %d, want 2 (the 502 and its retry)", got)
 	}
 }
 

@@ -112,7 +112,9 @@ func RunLeasedSweeps(ctx context.Context, e Experiment, cfg Config, st sweep.Sto
 		return total, fmt.Errorf("experiments: %s sweeps: %w", e.ID, err)
 	}
 	prefix := LeaseRunPrefix(e, cfg)
-	if err := ensureManifest(st, prefix, e, cfg); err != nil {
+	// The manifest rides out transient store faults under the same policy
+	// RunLeased gives its own records; RunLeased takes the unwrapped store.
+	if err := ensureManifest(sweep.RetryingStore(ctx, st, opts), prefix, e, cfg); err != nil {
 		return total, err
 	}
 	for k := range specs {

@@ -130,7 +130,7 @@ func TestLeasedConcurrentExecutorsIdentical(t *testing.T) {
 			_, errs[i] = RunLeasedSweeps(context.Background(), e, cfg, st, sweep.LeaseOptions{
 				Worker:        fmt.Sprintf("w%d", i),
 				GrainsPerSize: 6,
-				Poll:          time.Millisecond,
+				Retry:         sweep.Backoff{Base: time.Millisecond},
 				Throttle:      func(sweep.Block) { time.Sleep(delays[i]) },
 			})
 		}(i)

@@ -126,11 +126,10 @@ func TestSoakLeasedUnequalWorkers(t *testing.T) {
 				go func(i int) {
 					defer wg.Done()
 					stats, err := RunLeasedSweeps(context.Background(), e, tc.cfg, st, sweep.LeaseOptions{
-						Worker:         fmt.Sprintf("w%d", i),
-						GrainsPerSize:  8,
-						MaxLeaseGrains: 4,
-						Poll:           time.Millisecond,
-						Throttle:       func(sweep.Block) { time.Sleep(delays[i]) },
+						Worker:        fmt.Sprintf("w%d", i),
+						GrainsPerSize: 8,
+						Retry:         sweep.Backoff{Base: time.Millisecond},
+						Throttle:      func(sweep.Block) { time.Sleep(delays[i]) },
 					})
 					errs[i] = err
 					mu.Lock()

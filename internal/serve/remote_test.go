@@ -203,8 +203,8 @@ func TestRemoteOnlyJobCompletesThroughChaosProxy(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The worker side, exactly as cmd/sweepworker wires it: a retrying
-	// HTTPStore over the chaos proxy.
+	// The worker side, exactly as cmd/sweepworker wires it: an HTTPStore
+	// over the chaos proxy, retried by the lease executor.
 	e, err := experiments.Get(a.Experiment)
 	if err != nil {
 		t.Fatal(err)
@@ -212,9 +212,9 @@ func TestRemoteOnlyJobCompletesThroughChaosProxy(t *testing.T) {
 	ctx, cancel := contextWithTestTimeout()
 	defer cancel()
 	hs := sweep.NewHTTPStore(proxy.URL() + "/store").WithTimeout(5 * time.Second)
-	rs := sweep.NewRetryStore(ctx, hs, 5, sweep.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond})
-	stats, err := experiments.RunLeasedSweeps(ctx, e, a.Config, rs, sweep.LeaseOptions{
-		Worker: w.ID, GrainsPerSize: a.Grains, Poll: time.Millisecond,
+	stats, err := experiments.RunLeasedSweeps(ctx, e, a.Config, hs, sweep.LeaseOptions{
+		Worker: w.ID, GrainsPerSize: a.Grains, StoreRetries: 5,
+		Retry: sweep.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("remote run through chaos proxy: %v", err)
@@ -452,9 +452,9 @@ func TestMixedLocalAndRemoteWorkers(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		defer cancel()
 		hs := sweep.NewHTTPStore(srv.URL + "/store").WithTimeout(5 * time.Second)
-		rs := sweep.NewRetryStore(ctx, hs, 3, sweep.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond})
-		experiments.RunLeasedSweeps(ctx, e, a.Config, rs, sweep.LeaseOptions{
-			Worker: w.ID, GrainsPerSize: a.Grains, Poll: time.Millisecond,
+		experiments.RunLeasedSweeps(ctx, e, a.Config, hs, sweep.LeaseOptions{
+			Worker: w.ID, GrainsPerSize: a.Grains, StoreRetries: 3,
+			Retry: sweep.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
 		})
 	}()
 

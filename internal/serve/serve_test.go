@@ -54,7 +54,7 @@ func fastOptions(st sweep.Store) Options {
 		WedgeTimeout: -1,
 		Restart:      sweep.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
 		hookLease: func(_, _ string, o *sweep.LeaseOptions) {
-			o.Poll = time.Millisecond
+			o.Retry = sweep.Backoff{Base: time.Millisecond}
 		},
 	}
 }

@@ -2,9 +2,9 @@ package sweep
 
 // Backoff is the retry-pacing policy shared by everything in the engine
 // that waits on a flaky or busy medium: lease executors riding out
-// transient store faults, idle executors pacing their rescans, and the
-// sweepd supervisor restarting crashed workers. One policy type instead of
-// scattered fixed sleeps, so the CLI and the service tune the same knob.
+// transient store faults and pacing their idle rescans (both under
+// LeaseOptions.Retry), and the sweepd supervisor restarting crashed
+// workers. One policy type instead of scattered fixed sleeps.
 //
 // Delays grow exponentially with the attempt number, are capped at Max,
 // and carry deterministic jitter: the jitter for a given (Seed, attempt)
@@ -89,17 +89,4 @@ func (b Backoff) Delay(attempt int) time.Duration {
 func (b Backoff) Wait(ctx context.Context, attempt int) error {
 	sleepCtx(ctx, b.Delay(attempt))
 	return ctx.Err()
-}
-
-// withBase returns the policy with Base (and, if unset, Max) derived from
-// d — how lease executors turn their Poll interval into an idle-scan
-// policy without configuring a second duration.
-func (b Backoff) withBase(d time.Duration) Backoff {
-	if b.Base <= 0 {
-		b.Base = d
-		if b.Max <= 0 {
-			b.Max = 8 * d
-		}
-	}
-	return b
 }

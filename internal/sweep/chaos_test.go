@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -27,9 +28,15 @@ import (
 	"time"
 )
 
-// TestLeasedStealFromStraggler pins the steal path: a slow worker claims
-// the whole trial space, a fast worker arriving late finds the free pool
-// empty and must take the straggler's tail — and the merge is unharmed.
+// TestLeasedStealFromStraggler pins the steal path: a victim claims the
+// whole trial space, a thief arriving late finds the free pool empty and
+// must take the victim's tail — and the merge is unharmed. The victim must
+// cede the stolen tail at its next grain boundary, so no grain runs twice.
+// Throttle hooks order the two workers, so the schedule is exact:
+//
+//	victim  claims grains 0-3, waits in grain 0 until the thief has stolen
+//	thief   steals grains 2-3, waits until the victim has advanced past 0
+//	victim  cedes 2-3, waits in grain 1 until the thief's claim is gone
 func TestLeasedStealFromStraggler(t *testing.T) {
 	spec := cycleSpec(21, []int{9}, 32, 1)
 	want, err := Run(context.Background(), spec)
@@ -37,38 +44,77 @@ func TestLeasedStealFromStraggler(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := NewMemStore()
-	claimed := make(chan struct{})
+	leaseOf := func(worker string) *Lease {
+		data, err := st.Get("leaserun/lease/" + worker)
+		if err != nil {
+			return nil
+		}
+		l, err := DecodeLease(bytes.NewReader(data))
+		if err != nil {
+			return nil
+		}
+		return l
+	}
+	// await polls cond until it holds; the deadline only bounds a broken
+	// protocol, whose grains then run twice and fail the checks below.
+	await := func(cond func() bool) {
+		for deadline := time.Now().Add(5 * time.Second); !cond() && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	claimed, stolen := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	var wg sync.WaitGroup
 	wg.Add(1)
-	var slowErr error
+	var victim LeaseStats
+	var victimErr error
 	go func() {
 		defer wg.Done()
-		_, slowErr = RunLeased(context.Background(), spec, st, LeaseOptions{
-			Worker:         "slow",
-			GrainsPerSize:  8,
-			MaxLeaseGrains: 8, // claim everything at once: nothing left but stealing
-			Throttle: func(Block) {
-				once.Do(func() { close(claimed) })
-				time.Sleep(4 * time.Millisecond)
+		victim, victimErr = RunLeased(context.Background(), spec, st, LeaseOptions{
+			Worker:        "victim",
+			GrainsPerSize: 4, // one claim takes all four grains: nothing left but stealing
+			Throttle: func(b Block) {
+				if b.T0 == 0 {
+					close(claimed)
+					<-stolen
+					return
+				}
+				await(func() bool { return leaseOf("thief") == nil })
 			},
 		})
 	}()
 	<-claimed
-	fast, err := RunLeased(context.Background(), spec, st, LeaseOptions{
-		Worker:        "fast",
-		GrainsPerSize: 8,
-		Poll:          time.Millisecond,
+	thief, err := RunLeased(context.Background(), spec, st, LeaseOptions{
+		Worker:        "thief",
+		GrainsPerSize: 4,
+		Retry:         Backoff{Base: time.Millisecond},
+		// Never adopt or speculate on the victim's last grain: a grain run
+		// twice could then only come from a tail the victim failed to cede.
+		expireScans:    math.MaxInt,
+		speculateScans: math.MaxInt,
+		Throttle: func(Block) {
+			once.Do(func() {
+				close(stolen)
+				await(func() bool {
+					l := leaseOf("victim")
+					return l == nil || l.Next > 0
+				})
+			})
+		},
 	})
 	if err != nil {
-		t.Fatalf("fast worker: %v", err)
+		t.Fatalf("thief: %v", err)
 	}
 	wg.Wait()
-	if slowErr != nil {
-		t.Fatalf("slow worker: %v", slowErr)
+	if victimErr != nil {
+		t.Fatalf("victim: %v", victimErr)
 	}
-	if fast.Steals == 0 {
-		t.Errorf("fast worker never stole: %+v", fast)
+	if thief.Steals == 0 {
+		t.Errorf("thief never stole: %+v", thief)
+	}
+	if ran := thief.Grains + victim.Grains; ran != 4 || victim.Duplicates != 0 {
+		t.Errorf("4 grains ran %d times and the victim skipped %d duplicates; it must cede its stolen tail\nthief:  %+v\nvictim: %+v",
+			ran, victim.Duplicates, thief, victim)
 	}
 	got, err := CollectLeased(st, "leaserun", mustPlanOf(spec))
 	if err != nil {
@@ -109,8 +155,8 @@ func TestLeasedSpeculateOnStraggler(t *testing.T) {
 	fast, err := RunLeased(context.Background(), spec, st, LeaseOptions{
 		Worker:         "fast",
 		GrainsPerSize:  1,
-		Poll:           time.Millisecond,
-		SpeculateScans: 2,
+		Retry:          Backoff{Base: time.Millisecond},
+		speculateScans: 2,
 	})
 	if err != nil {
 		t.Fatalf("fast worker: %v", err)
@@ -159,8 +205,8 @@ func TestLeasedAdoptExpiredLease(t *testing.T) {
 	stats, err := RunLeased(context.Background(), spec, st, LeaseOptions{
 		Worker:        "healer",
 		GrainsPerSize: 6,
-		Poll:          time.Millisecond,
-		ExpireScans:   3,
+		Retry:         Backoff{Base: time.Millisecond},
+		expireScans:   3,
 	})
 	if err != nil {
 		t.Fatalf("healer: %v", err)
@@ -293,9 +339,9 @@ func runChaosScenario(t *testing.T, sc chaosScenario) {
 				_, err := RunLeased(ctx, sc.spec, st, LeaseOptions{
 					Worker:         fmt.Sprintf("wave%d-w%d", w, i),
 					GrainsPerSize:  sc.grains,
-					Poll:           time.Millisecond,
-					ExpireScans:    4,
-					SpeculateScans: 2,
+					Retry:          Backoff{Base: time.Millisecond},
+					expireScans:    4,
+					speculateScans: 2,
 					Throttle: func(Block) {
 						mu.Lock()
 						grains++

@@ -1,12 +1,12 @@
 package sweep
 
 // The Store interface over HTTP: StoreHandler serves any Store as a small
-// REST API, HTTPStore is the matching client, and RetryStore wraps any
-// Store in the IsRetryable/Backoff retry discipline. Together they are the
-// remote half of the lease protocol — a sweepd coordinator mounts
-// StoreHandler over its DirStore root and any sweepworker process on any
-// machine joins the run through an HTTPStore, with exactly the semantics
-// the in-process executors get:
+// REST API, HTTPStore is the matching client, and retryStore wraps any
+// Store in the IsRetryable/Backoff retry discipline RunLeased applies to
+// every store it is given. Together they are the remote half of the lease
+// protocol — a sweepd coordinator mounts StoreHandler over its DirStore
+// root and any sweepworker process on any machine joins the run through
+// an HTTPStore, with exactly the semantics the in-process executors get:
 //
 //	PUT    /{name}          write the object (idempotent; see below)
 //	GET    /{name}          read the object (404 ⇒ fs.ErrNotExist)
@@ -139,7 +139,8 @@ func storeHTTPError(w http.ResponseWriter, err error) {
 // HTTPStore is the Store client over a StoreHandler endpoint. Safe for
 // concurrent use; every request gets its own deadline, so a hung endpoint
 // surfaces as a retryable fault instead of a stuck worker. HTTPStore does
-// NOT retry — wrap it in a RetryStore to ride out transient faults.
+// NOT retry: RunLeased rides out its transient faults under
+// LeaseOptions.StoreRetries.
 type HTTPStore struct {
 	base    string
 	client  *http.Client
@@ -273,35 +274,23 @@ func (s *HTTPStore) Delete(name string) error {
 	return err
 }
 
-// RetryStore wraps a Store in the engine's retry discipline: every
+// retryStore wraps a Store in the engine's retry discipline: every
 // operation that fails with a retryable fault (IsRetryable) is retried
-// under the Backoff policy up to Retries extra attempts; final faults
+// under the Backoff policy up to retries extra attempts; final faults
 // (vanished root, permission, cancellation, corrupt data) return
 // immediately. A flapping network degrades throughput, never correctness —
 // and when the budget runs out the last fault is returned unwrapped, so
 // its type still drives the caller's own classification.
-type RetryStore struct {
-	inner   Store
+type retryStore struct {
+	inner Store
+	// ctx bounds every backoff wait: a draining worker stops retrying
+	// immediately.
 	ctx     context.Context
 	retries int
 	backoff Backoff
 }
 
-// NewRetryStore wraps inner. The context bounds every backoff wait (a
-// draining worker stops retrying immediately); retries is the extra
-// attempts per operation (default 3 when <= 0); policy is the pacing
-// (zero value: the Backoff defaults).
-func NewRetryStore(ctx context.Context, inner Store, retries int, policy Backoff) *RetryStore {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if retries <= 0 {
-		retries = 3
-	}
-	return &RetryStore{inner: inner, ctx: ctx, retries: retries, backoff: policy}
-}
-
-func (s *RetryStore) retry(op func() error) error {
+func (s *retryStore) retry(op func() error) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = op()
@@ -315,12 +304,12 @@ func (s *RetryStore) retry(op func() error) error {
 }
 
 // Put retries transient faults; safe because Put is idempotent end to end.
-func (s *RetryStore) Put(name string, data []byte) error {
+func (s *retryStore) Put(name string, data []byte) error {
 	return s.retry(func() error { return s.inner.Put(name, data) })
 }
 
 // Get retries transient faults; a missing object is final immediately.
-func (s *RetryStore) Get(name string) ([]byte, error) {
+func (s *retryStore) Get(name string) ([]byte, error) {
 	var data []byte
 	err := s.retry(func() error {
 		var e error
@@ -331,7 +320,7 @@ func (s *RetryStore) Get(name string) ([]byte, error) {
 }
 
 // List retries transient faults.
-func (s *RetryStore) List(prefix string) ([]string, error) {
+func (s *retryStore) List(prefix string) ([]string, error) {
 	var names []string
 	err := s.retry(func() error {
 		var e error
@@ -342,6 +331,6 @@ func (s *RetryStore) List(prefix string) ([]string, error) {
 }
 
 // Delete retries transient faults.
-func (s *RetryStore) Delete(name string) error {
+func (s *retryStore) Delete(name string) error {
 	return s.retry(func() error { return s.inner.Delete(name) })
 }

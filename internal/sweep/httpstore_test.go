@@ -170,15 +170,15 @@ func TestHTTPStorePutIdempotentAfterDroppedResponse(t *testing.T) {
 	if n := backing.puts.Load(); n != 1 {
 		t.Errorf("medium saw %d writes for one logical Put + one retry, want 1", n)
 	}
-	// And a RetryStore turns the whole episode into one successful call.
+	// And a retryStore turns the whole episode into one successful call.
 	dropper.drops.Store(1)
 	backing.puts.Store(0)
-	rs := NewRetryStore(context.Background(), hs, 3, Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond})
+	rs := &retryStore{inner: hs, ctx: context.Background(), retries: 3, backoff: Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}}
 	if err := rs.Put("run/done/0-8", payload); err != nil {
-		t.Fatalf("RetryStore.Put through a dropped response: %v", err)
+		t.Fatalf("retryStore.Put through a dropped response: %v", err)
 	}
 	if got, gerr := rs.Get("run/done/0-8"); gerr != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("RetryStore.Get = %q, %v", got, gerr)
+		t.Fatalf("retryStore.Get = %q, %v", got, gerr)
 	}
 }
 
@@ -198,14 +198,14 @@ func (s *flakyStore) Put(name string, data []byte) error {
 	return s.Store.Put(name, data)
 }
 
-// RetryStore rides out transient faults under its budget and gives up
+// retryStore rides out transient faults under its budget and gives up
 // cleanly past it; final faults pass through without burning attempts.
 func TestRetryStorePolicy(t *testing.T) {
 	fast := Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}
 	t.Run("transient under budget succeeds", func(t *testing.T) {
 		fl := &flakyStore{Store: NewMemStore()}
 		fl.remaining.Store(2)
-		rs := NewRetryStore(context.Background(), fl, 3, fast)
+		rs := &retryStore{inner: fl, ctx: context.Background(), retries: 3, backoff: fast}
 		if err := rs.Put("a", []byte("x")); err != nil {
 			t.Fatalf("Put = %v, want success after 2 transient faults", err)
 		}
@@ -216,7 +216,7 @@ func TestRetryStorePolicy(t *testing.T) {
 	t.Run("budget exhausted returns the typed fault", func(t *testing.T) {
 		fl := &flakyStore{Store: NewMemStore()}
 		fl.remaining.Store(100)
-		rs := NewRetryStore(context.Background(), fl, 2, fast)
+		rs := &retryStore{inner: fl, ctx: context.Background(), retries: 2, backoff: fast}
 		err := rs.Put("a", []byte("x"))
 		var te *TransientError
 		if !errors.As(err, &te) {
@@ -228,7 +228,7 @@ func TestRetryStorePolicy(t *testing.T) {
 	})
 	t.Run("final faults are not retried", func(t *testing.T) {
 		st := NewMemStore()
-		rs := NewRetryStore(context.Background(), st, 5, fast)
+		rs := &retryStore{inner: st, ctx: context.Background(), retries: 5, backoff: fast}
 		if _, err := rs.Get("missing"); !errors.Is(err, fs.ErrNotExist) {
 			t.Fatalf("Get missing = %v, want fs.ErrNotExist", err)
 		}
@@ -238,7 +238,7 @@ func TestRetryStorePolicy(t *testing.T) {
 		cancel()
 		fl := &flakyStore{Store: NewMemStore()}
 		fl.remaining.Store(100)
-		rs := NewRetryStore(ctx, fl, 50, Backoff{Base: time.Minute})
+		rs := &retryStore{inner: fl, ctx: ctx, retries: 50, backoff: Backoff{Base: time.Minute}}
 		err := rs.Put("a", []byte("x"))
 		var te *TransientError
 		if !errors.As(err, &te) {
@@ -260,13 +260,13 @@ func TestRunLeasedOverHTTPStore(t *testing.T) {
 	}
 	backing := NewMemStore()
 	hs, _ := newHTTPStorePair(t, backing)
-	rs := NewRetryStore(context.Background(), hs, 3, Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond})
-	if _, err := RunLeased(context.Background(), spec, rs, LeaseOptions{
-		Worker: "remote", GrainsPerSize: 4, Poll: time.Millisecond,
+	if _, err := RunLeased(context.Background(), spec, hs, LeaseOptions{
+		Worker: "remote", GrainsPerSize: 4, StoreRetries: 3,
+		Retry: Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
 	}); err != nil {
 		t.Fatalf("RunLeased over HTTP: %v", err)
 	}
-	got, err := CollectLeased(rs, "leaserun", mustPlanOf(spec))
+	got, err := CollectLeased(hs, "leaserun", mustPlanOf(spec))
 	if err != nil {
 		t.Fatalf("CollectLeased over HTTP: %v", err)
 	}

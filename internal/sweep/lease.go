@@ -23,8 +23,8 @@ package sweep
 // and torn or foreign records fail decoding with the codec's *DecodeError.
 //
 // Liveness uses heartbeats, not wall-clock: a lease whose Beat counter
-// stays frozen across ExpireScans of an idle observer's scans is expired
-// and its remainder returns to the free pool. False expiry is safe (it
+// stays frozen across eight of an observer's scans is expired and its
+// remainder returns to the free pool. False expiry is safe (it
 // only duplicates), so the protocol needs no clock agreement between
 // workers — which also keeps the chaos suite deterministic and shrinkable.
 
@@ -229,31 +229,18 @@ type LeaseOptions struct {
 	// is quantized into (default 16). All executors of a run must agree —
 	// the run's plan record enforces it.
 	GrainsPerSize int
-	// MaxLeaseGrains caps how many grains one claim takes from the free
-	// pool (default 4), so the tail stays stealable.
-	MaxLeaseGrains int
-	// ExpireScans is how many idle scans a lease's heartbeat may stay
-	// frozen before the observer treats it as dead and adopts its
-	// remainder (default 8). Expiry is per-observer and false positives
-	// are safe: they only duplicate deterministic work.
-	ExpireScans int
-	// SpeculateScans is how many idle scans an executor waits before
-	// speculatively re-executing a live straggler's remaining range
-	// (default 3).
-	SpeculateScans int
-	// Poll is the idle wait between scans when no work is claimable
-	// (default 25ms). Consecutive idle scans back off from Poll under the
-	// Retry policy instead of hammering the store at a fixed rate.
-	Poll time.Duration
-	// Retry paces transient-store-fault retries and idle rescans. The zero
-	// value derives a policy from Poll (base Poll, ×1.5 growth, 8×Poll
-	// cap) with jitter seeded from the worker id, so replays stay
-	// deterministic. sweepd and the CLI tune this same knob.
+	// Retry is the executor's one pacing policy: it spaces the retries of a
+	// transiently faulting store operation and the idle rescans while no
+	// work is claimable, so consecutive idle scans back off instead of
+	// hammering the store. Unset fields default to a 25ms Base, an 8×Base
+	// Max and ×1.5 growth, with jitter seeded from the worker id so replays
+	// stay deterministic.
 	Retry Backoff
-	// StoreRetries bounds how many backed-off retries one store operation
-	// gets before the executor gives up on it (default 2): a completion
-	// write that still fails leaves its grain uncovered for any executor
-	// to redo, a scan that still fails ends the run with a *WorkerError.
+	// StoreRetries bounds the backed-off retries one store operation gets
+	// before the executor gives up on it (default 2). RunLeased retries its
+	// own operations, so pass it an unwrapped store. A completion write
+	// that still fails leaves its grain uncovered for any executor to
+	// redo; a scan that still fails ends the run with a *WorkerError.
 	StoreRetries int
 	// Static degrades the executor to the classic i-of-m schedule: it
 	// claims exactly the grains whose start falls in this shard's slice,
@@ -263,6 +250,51 @@ type LeaseOptions struct {
 	// Throttle, when set, runs before every grain execution — the test
 	// hook unequal-speed soak workers and chaos kills are built on.
 	Throttle func(b Block)
+
+	// Schedule knobs only the protocol tests set (zero: RunLeased's
+	// default): the scans a frozen heartbeat survives before its lease is
+	// adopted; the idle scans before a live straggler is re-run.
+	expireScans, speculateScans int
+}
+
+// maxLeaseGrains is the grains one free-pool claim takes, so the tail
+// stays stealable.
+const maxLeaseGrains = 4
+
+// defaultPacing fills the unset retry and pacing fields with RunLeased's
+// defaults.
+func (o *LeaseOptions) defaultPacing() {
+	if o.Retry.Base <= 0 {
+		o.Retry.Base = 25 * time.Millisecond
+	}
+	if o.Retry.Max <= 0 {
+		o.Retry.Max = 8 * o.Retry.Base
+	}
+	// The pacing policy jitters on a stream seeded from the worker id:
+	// deterministic per worker, decorrelated across a fleet.
+	if o.Retry.Seed == 0 {
+		h := fnv.New64a()
+		h.Write([]byte(o.Worker))
+		o.Retry.Seed = h.Sum64()
+	}
+	if o.Retry.Factor == 0 {
+		o.Retry.Factor = 1.5
+	}
+	if o.StoreRetries <= 0 {
+		o.StoreRetries = 2
+	}
+}
+
+// RetryingStore wraps st in RunLeased's own store retry policy (defaulted
+// opts.StoreRetries and opts.Retry) for the records a caller keeps beside
+// a leased run, such as an experiment's manifest. Pass RunLeased itself
+// the unwrapped store, or the two budgets multiply.
+func RetryingStore(ctx context.Context, st Store, opts LeaseOptions) Store {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	opts.defaultPacing()
+	return &retryStore{inner: st, ctx: ctx, retries: opts.StoreRetries, backoff: opts.Retry}
 }
 
 // LeaseStats summarises one executor's participation.
@@ -409,9 +441,9 @@ type scanState struct {
 	maxSeq   int64
 }
 
-// leaseScanner reads the run's records, caching decoded completions (they
-// are immutable once valid) so repeated scans cost O(new records), not
-// O(all records).
+// leaseScanner is the one reader of a run's lease and completion records.
+// It caches accepted completions by name (they are immutable once valid),
+// so repeated scans decode each completion once.
 type leaseScanner struct {
 	st      Store
 	prefix  string
@@ -444,48 +476,80 @@ func (s *leaseScanner) accepts(c *Completion) bool {
 		c.Stats.N == s.plan.Sizes[i] && normWeight(c.Weight) == int64(s.weights[i])
 }
 
-func (s *leaseScanner) scan() (*scanState, error) {
+// load returns the accepted completion record stored at name, or nil when
+// it is missing, torn, forged or foreign: absent until some executor
+// overwrites it.
+func (s *leaseScanner) load(name string) *Completion {
+	if c, ok := s.comps[name]; ok {
+		return c
+	}
+	data, err := s.st.Get(name)
+	if err != nil {
+		return nil
+	}
+	c, err := DecodeCompletion(bytes.NewReader(data))
+	if err != nil || !s.accepts(c) {
+		return nil
+	}
+	s.comps[name] = c
+	return c
+}
+
+// completions lists the run's completion records and returns every
+// accepted one, keyed by store name.
+func (s *leaseScanner) completions() (map[string]*Completion, error) {
 	names, err := s.st.List(s.prefix + "/done/")
 	if err != nil {
 		return nil, err
 	}
 	for _, name := range names {
-		if _, ok := s.comps[name]; ok {
-			continue
-		}
-		data, err := s.st.Get(name)
-		if err != nil {
-			continue // vanished mid-scan: absent
-		}
-		c, derr := DecodeCompletion(bytes.NewReader(data))
-		if derr != nil || !s.accepts(c) {
-			continue // torn, forged or foreign: absent until overwritten
-		}
-		s.comps[name] = c
+		s.load(name)
 	}
-	sc := &scanState{coverage: make([][]TrialRange, len(s.counts)), leases: make(map[string]*Lease)}
-	for _, c := range s.comps {
-		sc.coverage[c.Block.SizeIdx] = insertRange(sc.coverage[c.Block.SizeIdx],
-			TrialRange{T0: c.Block.T0, T1: c.Block.T1})
-	}
-	lnames, err := s.st.List(s.prefix + "/lease/")
+	return s.comps, nil
+}
+
+// leases returns the run's valid claim records, keyed by worker, without
+// reading worker skip's own record (empty: read all). Torn, foreign or
+// out-of-plan records read as absent.
+func (s *leaseScanner) leases(skip string) (map[string]*Lease, error) {
+	names, err := s.st.List(s.prefix + "/lease/")
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range lnames {
+	ls := make(map[string]*Lease, len(names))
+	for _, name := range names {
+		if skip != "" && name == leaseKey(s.prefix, skip) {
+			continue
+		}
 		data, err := s.st.Get(name)
 		if err != nil {
 			continue
 		}
-		l, derr := DecodeLease(bytes.NewReader(data))
-		if derr != nil || l.PlanSum != s.sum || l.SizeIdx >= len(s.counts) ||
+		l, err := DecodeLease(bytes.NewReader(data))
+		if err != nil || l.PlanSum != s.sum || l.SizeIdx >= len(s.counts) ||
 			l.T1 > s.counts[l.SizeIdx] {
 			continue
 		}
-		sc.leases[l.Worker] = l
-		if l.Seq > sc.maxSeq {
-			sc.maxSeq = l.Seq
-		}
+		ls[l.Worker] = l
+	}
+	return ls, nil
+}
+
+func (s *leaseScanner) scan() (*scanState, error) {
+	comps, err := s.completions()
+	if err != nil {
+		return nil, err
+	}
+	sc := &scanState{coverage: make([][]TrialRange, len(s.counts))}
+	for _, c := range comps {
+		sc.coverage[c.Block.SizeIdx] = insertRange(sc.coverage[c.Block.SizeIdx],
+			TrialRange{T0: c.Block.T0, T1: c.Block.T1})
+	}
+	if sc.leases, err = s.leases(""); err != nil {
+		return nil, err
+	}
+	for _, l := range sc.leases {
+		sc.maxSeq = max(sc.maxSeq, l.Seq)
 	}
 	return sc, nil
 }
@@ -534,7 +598,8 @@ type leaseRunner struct {
 // completion records — the whole trial space for the dynamic schedule, or
 // this shard's grains under Static — from any combination of workers.
 // Merge the records with CollectLeased; the result is byte-identical to a
-// single uninterrupted Run of the same spec.
+// single uninterrupted Run of the same spec. Every store operation it
+// makes is retried under opts.Retry, at most opts.StoreRetries times.
 //
 // The spec must leave Done and OnBlock unset: the lease schedule
 // owns the trial-space slicing, and per-grain completions are the progress
@@ -566,36 +631,17 @@ func RunLeased(ctx context.Context, spec Spec, st Store, opts LeaseOptions) (Lea
 	if opts.GrainsPerSize <= 0 {
 		opts.GrainsPerSize = 16
 	}
-	if opts.MaxLeaseGrains <= 0 {
-		opts.MaxLeaseGrains = 4
+	if opts.expireScans <= 0 {
+		opts.expireScans = 8
 	}
-	if opts.ExpireScans <= 0 {
-		opts.ExpireScans = 8
+	if opts.speculateScans <= 0 {
+		opts.speculateScans = 3
 	}
-	if opts.SpeculateScans <= 0 {
-		opts.SpeculateScans = 3
-	}
-	if opts.Poll <= 0 {
-		opts.Poll = 25 * time.Millisecond
-	}
-	// The retry policy inherits Poll as its base and jitters on a stream
-	// seeded from the worker id: deterministic per worker, decorrelated
-	// across a fleet.
-	opts.Retry = opts.Retry.withBase(opts.Poll)
-	if opts.Retry.Seed == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(opts.Worker))
-		opts.Retry.Seed = h.Sum64()
-	}
-	if opts.Retry.Factor == 0 {
-		opts.Retry.Factor = 1.5
-	}
-	if opts.StoreRetries <= 0 {
-		opts.StoreRetries = 2
-	}
+	opts.defaultPacing()
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	st = RetryingStore(ctx, st, opts)
 
 	plan, err := PlanOf(spec)
 	if err != nil {
@@ -656,25 +702,17 @@ type beatTrack struct {
 func (r *leaseRunner) loop(ctx context.Context) error {
 	beats := make(map[string]*beatTrack)
 	idle := 0
-	scanFaults := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("sweep: leased run cancelled: %w", err)
 		}
+		// The store has already retried a transient fault; one that
+		// outlasts the retries, or a final one, ends the executor and the
+		// supervisor counts the death.
 		sc, err := r.scanner.scan()
 		if err != nil {
-			// A transiently faulting store gets StoreRetries backed-off
-			// rescans before the executor dies (and the supervisor counts
-			// the death); a final fault — vanished root, permission — kills
-			// the executor immediately, one predicate (IsRetryable)
-			// deciding for this loop and RetryStore alike.
-			if scanFaults++; !IsRetryable(err) || scanFaults > r.opts.StoreRetries {
-				return err
-			}
-			r.opts.Retry.Wait(ctx, scanFaults-1)
-			continue
+			return err
 		}
-		scanFaults = 0
 		done := true
 		for i, t := range r.target {
 			if !covered(sc.coverage[i], t) {
@@ -706,7 +744,7 @@ func (r *leaseRunner) loop(ctx context.Context) error {
 		}
 		expired := make(map[string]bool)
 		for w, bt := range beats {
-			if bt.stagnant >= r.opts.ExpireScans {
+			if bt.stagnant >= r.opts.expireScans {
 				expired[w] = true
 			}
 		}
@@ -763,7 +801,7 @@ func (r *leaseRunner) chooseClaim(sc *scanState, expired map[string]bool, idle i
 		}
 		g := r.grain[i]
 		rng := avail[0]
-		t1 := rng.T0 + r.opts.MaxLeaseGrains*g
+		t1 := rng.T0 + maxLeaseGrains*g
 		if t1 > rng.T1 {
 			t1 = rng.T1
 		}
@@ -820,7 +858,7 @@ func (r *leaseRunner) chooseClaim(sc *scanState, expired map[string]bool, idle i
 	// a little patience, re-execute one — duplicates are byte-identical, so
 	// the only cost is work, and the benefit is not waiting on a straggler
 	// that may never finish. Only claims with uncovered work qualify.
-	if idle >= r.opts.SpeculateScans {
+	if idle >= r.opts.speculateScans {
 		for _, l := range live {
 			rem := subtractRanges(l.Next, l.T1, sc.coverage[l.SizeIdx])
 			if len(rem) > 0 {
@@ -850,13 +888,11 @@ func (r *leaseRunner) executeLease(ctx context.Context, b Block, seq int64) erro
 		}
 		gb := Block{SizeIdx: b.SizeIdx, T0: l.Next, T1: t1}
 		key := completionKey(r.prefix, gb)
-		if data, err := r.st.Get(key); err == nil {
-			if c, derr := DecodeCompletion(bytes.NewReader(data)); derr == nil && r.scanner.accepts(c) {
-				// First write wins: an accepted record is never overwritten.
-				r.stats.Duplicates++
-				r.advance(&l, t1)
-				continue
-			}
+		if r.scanner.load(key) != nil {
+			// First write wins: an accepted record is never overwritten.
+			r.stats.Duplicates++
+			r.advance(&l, t1)
+			continue
 		}
 		if r.opts.Throttle != nil {
 			r.opts.Throttle(gb)
@@ -873,21 +909,10 @@ func (r *leaseRunner) executeLease(ctx context.Context, b Block, seq int64) erro
 		if err := EncodeCompletion(&buf, comp); err != nil {
 			return err
 		}
-		for attempt := 0; ; attempt++ {
-			// Bounded, backed-off retries ride out transient faults — the
-			// same IsRetryable predicate RetryStore applies, so a final
-			// fault (vanished root, permission) stops immediately. A grain
-			// whose record still fails to land simply stays uncovered: some
-			// executor (possibly this one, next claim) re-runs it and
-			// overwrites whatever garbage the failed write left.
-			perr := r.st.Put(key, buf.Bytes())
-			if perr == nil || !IsRetryable(perr) {
-				break
-			}
-			if attempt >= r.opts.StoreRetries || r.opts.Retry.Wait(ctx, attempt) != nil {
-				break
-			}
-		}
+		// A record that fails to land even after the store's retries leaves
+		// its grain uncovered: some executor (possibly this one, next
+		// claim) re-runs it and overwrites whatever the failed write left.
+		r.st.Put(key, buf.Bytes())
 		r.stats.Grains++
 		r.advance(&l, t1)
 	}
@@ -900,21 +925,12 @@ func (r *leaseRunner) executeLease(ctx context.Context, b Block, seq int64) erro
 func (r *leaseRunner) advance(l *Lease, next int) {
 	l.Next = next
 	l.Beat++
-	if names, err := r.st.List(r.prefix + "/lease/"); err == nil {
-		for _, name := range names {
-			if name == leaseKey(r.prefix, l.Worker) {
-				continue
-			}
-			data, err := r.st.Get(name)
-			if err != nil {
-				continue
-			}
-			o, derr := DecodeLease(bytes.NewReader(data))
-			if derr != nil || o.PlanSum != r.scanner.sum || o.SizeIdx != l.SizeIdx || o.Seq <= l.Seq {
-				continue
-			}
-			// A higher-Seq claim overlapping our remainder wins it.
-			if o.T0 < l.T1 && l.Next < o.T1 && o.T0 >= l.Next {
+	// A higher-Seq claim overlapping our remainder wins it. A failed read
+	// only defers the cede to the next grain.
+	if others, err := r.scanner.leases(l.Worker); err == nil {
+		for _, o := range others {
+			if o.SizeIdx == l.SizeIdx && o.Seq > l.Seq &&
+				o.T0 < l.T1 && l.Next < o.T1 && o.T0 >= l.Next {
 				l.T1 = o.T0
 			}
 		}
@@ -1062,8 +1078,7 @@ func CollectLeased(st Store, prefix string, plan Plan) (*Result, error) {
 			return nil, fmt.Errorf("sweep: lease run %q holds a different plan", prefix)
 		}
 	}
-	filter := newLeaseScanner(st, prefix, plan, counts)
-	names, err := st.List(prefix + "/done/")
+	all, err := newLeaseScanner(st, prefix, plan, counts).completions()
 	if err != nil {
 		return nil, err
 	}
@@ -1074,15 +1089,7 @@ func CollectLeased(st Store, prefix string, plan Plan) (*Result, error) {
 		key string
 	}
 	bySize := make([][]keyed, len(plan.Sizes))
-	for _, name := range names {
-		data, err := st.Get(name)
-		if err != nil {
-			continue
-		}
-		c, derr := DecodeCompletion(bytes.NewReader(data))
-		if derr != nil || !filter.accepts(c) {
-			continue
-		}
+	for name, c := range all {
 		bySize[c.Block.SizeIdx] = append(bySize[c.Block.SizeIdx], keyed{c: c, key: name})
 	}
 
@@ -1090,11 +1097,17 @@ func CollectLeased(st Store, prefix string, plan Plan) (*Result, error) {
 	for i, n := range plan.Sizes {
 		out.Sizes[i].N = n
 		comps := bySize[i]
+		// The records come from a map: only this total order keeps the fold
+		// and any reported collision stable.
 		sort.Slice(comps, func(a, b int) bool {
-			if comps[a].c.Block.T0 != comps[b].c.Block.T0 {
-				return comps[a].c.Block.T0 < comps[b].c.Block.T0
+			ca, cb := comps[a].c.Block, comps[b].c.Block
+			if ca.T0 != cb.T0 {
+				return ca.T0 < cb.T0
 			}
-			return comps[a].c.Block.T1 < comps[b].c.Block.T1
+			if ca.T1 != cb.T1 {
+				return ca.T1 < cb.T1
+			}
+			return comps[a].key < comps[b].key
 		})
 		var missing []TrialRange
 		var prev TrialRange

@@ -98,7 +98,7 @@ func TestLeasedConcurrentWorkersIdentical(t *testing.T) {
 		return LeaseOptions{
 			Worker:        fmt.Sprintf("w%d", i),
 			GrainsPerSize: 6,
-			Poll:          time.Millisecond,
+			Retry:         Backoff{Base: time.Millisecond},
 			Throttle:      func(Block) { time.Sleep(delays[i]) },
 		}
 	})
@@ -282,8 +282,9 @@ func TestCollectLeasedTypedErrors(t *testing.T) {
 	if !errors.As(err, &ov) {
 		t.Fatalf("overlap: want *OverlapError, got %v", err)
 	}
-	if ov.N != 7 {
-		t.Fatalf("OverlapError = %+v", ov)
+	if ov.N != 7 || ov.A != (TrialRange{T0: 4, T1: 9}) || ov.B != (TrialRange{T0: 8, T1: 12}) ||
+		ov.Key != "leaserun/done/0-8" {
+		t.Fatalf("OverlapError = %+v, want [4,9) against [8,12) at leaserun/done/0-8", ov)
 	}
 	if !strings.Contains(ov.Error(), "double-count") {
 		t.Fatalf("OverlapError message %q should explain the double-count", ov.Error())
@@ -315,7 +316,7 @@ func TestLeasedTornWritesRecovered(t *testing.T) {
 		return data, nil
 	})
 	stats, got := runLeasedAll(t, spec, st, 2, func(i int) LeaseOptions {
-		return LeaseOptions{Worker: fmt.Sprintf("w%d", i), GrainsPerSize: 5, Poll: time.Millisecond}
+		return LeaseOptions{Worker: fmt.Sprintf("w%d", i), GrainsPerSize: 5, Retry: Backoff{Base: time.Millisecond}}
 	})
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("aggregates differ after torn writes\nwant: %+v\ngot:  %+v", want, got)
@@ -369,7 +370,7 @@ func TestLeasedForeignCompletionOverwritten(t *testing.T) {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			opts := LeaseOptions{Worker: "w", GrainsPerSize: 4, Poll: time.Millisecond}
+			opts := LeaseOptions{Worker: "w", GrainsPerSize: 4, Retry: Backoff{Base: time.Millisecond}}
 			if _, err := RunLeased(ctx, spec, st, opts); err != nil {
 				t.Fatalf("RunLeased: %v", err)
 			}
@@ -536,7 +537,7 @@ func TestLeasedStoreFaultSurfacesWorkerError(t *testing.T) {
 	}
 	spec := cycleSpec(3, []int{8}, 12, 1)
 	opts := LeaseOptions{
-		Worker: "doomed", GrainsPerSize: 4, Poll: time.Millisecond,
+		Worker: "doomed", GrainsPerSize: 4, Retry: Backoff{Base: time.Millisecond},
 		Throttle: func(Block) { os.RemoveAll(root) },
 	}
 	_, err = RunLeased(context.Background(), spec, st, opts)

@@ -1,16 +1,15 @@
 package sweep
 
 // Error classification for retry loops: one predicate — IsRetryable —
-// decides what is worth backing off on, shared by the lease executors'
-// StoreRetries path (lease.go) and the RetryStore client wrapper
-// (httpstore.go). Before this file each retry site had its own ad-hoc
-// idea of "transient"; now a store implementation marks a failure as
-// transient by wrapping it in *TransientError, and everything else is
-// classified by type: cancellation, missing/permission faults and corrupt
-// records are final, unclassified media faults are presumed transient
-// (retrying a fault that turns out permanent only costs bounded time —
-// the retry budgets stay small — while giving up on a blip costs a worker
-// death the supervisor has to absorb).
+// decides what is worth backing off on, for the store wrapper RunLeased
+// retries every lease store operation through (retryStore, httpstore.go;
+// RetryingStore hands the same policy to a caller's records) and for sweepworker's coordinator API calls. A store implementation
+// marks a failure as transient by wrapping it in *TransientError, and
+// everything else is classified by type: cancellation, missing/permission
+// faults and corrupt records are final, unclassified media faults are
+// presumed transient (retrying a fault that turns out permanent only
+// costs bounded time — the retry budgets stay small — while giving up on a
+// blip costs a worker death the supervisor has to absorb).
 
 import (
 	"context"

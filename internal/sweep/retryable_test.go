@@ -65,7 +65,7 @@ func TestLeaseScanFinalFaultFailsFast(t *testing.T) {
 		return fmt.Errorf("sweep: store list: %w", fs.ErrNotExist)
 	}}
 	_, err := RunLeased(context.Background(), spec, fs1, LeaseOptions{
-		Worker: "w", StoreRetries: 5, Poll: 1,
+		Worker: "w", StoreRetries: 5, Retry: Backoff{Base: 1},
 	})
 	if err == nil || !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("RunLeased over vanished store = %v, want fs.ErrNotExist", err)
